@@ -12,7 +12,8 @@ measured wall-clock into BENCH_perf.json.
 Default scale is 20k requests so the bench suite stays quick;
 ``REPRO_BENCH_FULL=1`` runs the full 100k stream and
 ``REPRO_BENCH_SMOKE=1`` shrinks it to a CI-sized smoke that still asserts
-the vectorized fast path engaged.
+the vectorized fast path and the pools' same-accelerator block
+continuation engaged.
 """
 
 import os
@@ -60,8 +61,10 @@ def _replay(traces, lut, affinity, router_name):
     assert result.requests == [] and result.shed_requests == []
     # ... must serve the whole stream ...
     assert result.num_completed == N_REQUESTS
-    # ... and must run on the vectorized fast path.
+    # ... and must run on the vectorized fast path, continuing lone
+    # requests on the same accelerator when a pool drains.
     assert result.num_batch_selects > 0
+    assert result.num_continued_blocks > 0
     return result
 
 

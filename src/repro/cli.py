@@ -384,6 +384,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                     "scale_downs": s.scale_downs,
                     "joules_busy": s.joules_busy,
                     "joules_idle": s.joules_idle,
+                    "continued_blocks": s.continued_blocks,
                 }
                 for name, s in result.pool_stats.items()
             },
@@ -424,7 +425,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
               f"({result.joules_used:.2f} J serving, "
               f"{result.metrics['joules_idle']:.2f} J idle draw)")
     print()
-    columns = ["accels", "peak", "completed", "shed", "peak queue", "util %"]
+    # "continued": blocks a lone request ran on the same accelerator
+    # without a ready-queue round trip (the pool's continuation fast path).
+    columns = ["accels", "peak", "completed", "shed", "peak queue", "util %",
+               "continued"]
     if accountant is not None:
         columns += ["busy J", "idle J"]
     print(render_table(
@@ -432,7 +436,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         columns,
         {
             name: [s.num_accelerators, s.peak_accelerators, s.completed,
-                   s.shed, s.max_queue_length, 100 * s.utilization]
+                   s.shed, s.max_queue_length, 100 * s.utilization,
+                   s.continued_blocks]
                   + ([s.joules_busy, s.joules_idle]
                      if accountant is not None else [])
             for name, s in result.pool_stats.items()

@@ -81,6 +81,9 @@ class PoolStats:
     utilization: float
     #: Decisions served by the vectorized fast path (0 on the scalar path).
     batch_selects: int = 0
+    #: Blocks a lone request continued on the same accelerator (a subset of
+    #: ``batch_selects``; 0 on the scalar path).
+    continued_blocks: int = 0
     #: Highest provisioned capacity reached during the run.
     peak_accelerators: int = 0
     #: Integral of provisioned capacity over the run, in accelerator-seconds.
@@ -128,6 +131,8 @@ class ClusterResult:
     metrics: Dict[str, float] = field(default_factory=dict)
     #: Decisions served by the vectorized fast path across all pools.
     num_batch_selects: int = 0
+    #: Blocks continued on the same accelerator across all pools.
+    num_continued_blocks: int = 0
     #: Applied capacity changes, in time order (empty without an autoscaler).
     scale_events: List[ScaleEvent] = field(default_factory=list)
 
@@ -494,6 +499,11 @@ def simulate_cluster(
     t_heap = perf_counter() if prof is not None else 0.0
     t_seg = 0.0
     skip_admit = False
+    # True while every pool is dispatched to a fixed point and arm_wake has
+    # nothing left to arm — i.e. the last event ran the full admit/dispatch
+    # tail.  Only then may a pool continue a lone request in place, since
+    # the continuation skips that tail.
+    settled = True
     while events:
         time, _, kind, pool, npu, req, layers, dt, epoch = heapq.heappop(events)
         if kind in (_TICK, _WARM, _FAULT) and not work_remains():
@@ -532,8 +542,12 @@ def simulate_cluster(
             # request was already requeued.  Nothing to fold.
             pass
         else:
+            # The pool may start the request's next block in place only
+            # when the skipped tail would have had nothing else to do.
+            lone_ok = settled and (next_req is None or next_req.arrival > now + _EPS)
             done = pool.complete_block(now, npu, req, layers, dt,
-                                       t_entry=t_seg if prof is not None else None)
+                                       t_entry=t_seg if prof is not None else None,
+                                       push_event=push_event if lone_ok else None)
             if track_work:
                 if prof is not None:
                     t_rt = perf_counter()
@@ -566,10 +580,17 @@ def simulate_cluster(
                 if prof is not None:
                     p_metrics_s += perf_counter() - t_met
                     p_metrics_c += 1
+            elif done is None:
+                # Continued in place: no arrival is due, every other pool
+                # is settled and the wake is armed, so the tail is a no-op.
+                if prof is not None:
+                    t_heap = perf_counter()
+                continue
         if skip_admit:
             # No-op fault boundary: leave queues, admission and wake state
             # exactly as the fault-free run would at this timestamp.
             skip_admit = False
+            settled = False
             if prof is not None:
                 t_heap = perf_counter()
             continue
@@ -578,6 +599,7 @@ def simulate_cluster(
         if next_req is not None and next_req.arrival <= now + _EPS:
             admit_arrivals(now)
         dispatch_all(now)
+        settled = True
         if prof is not None:
             t_aw = perf_counter()
             arm_wake()
@@ -645,6 +667,7 @@ def simulate_cluster(
                 if p.acc_seconds_provisioned > 0 else 0.0
             ),
             batch_selects=p.batch_selects,
+            continued_blocks=p.continued_blocks,
             peak_accelerators=p.peak_accelerators,
             acc_seconds_provisioned=p.acc_seconds_provisioned,
             scale_ups=p.scale_ups,
@@ -670,5 +693,6 @@ def simulate_cluster(
         pool_stats=pool_stats,
         metrics=summary,
         num_batch_selects=sum(p.batch_selects for p in pools),
+        num_continued_blocks=sum(p.continued_blocks for p in pools),
         scale_events=scale_events,
     )

@@ -30,7 +30,9 @@ batch selection backs its queue with an array-backed
 ``select_single`` / ``select_batch``, which is what keeps 100k-request
 streaming replays fast — per-decision work stays O(queue) arithmetic in
 numpy (or a tight loop at small depths) instead of O(queue) Python
-property/dict traffic.
+property/dict traffic.  When a block's request is alone and its next
+decision is forced, :meth:`Pool.complete_block` starts the next block on
+the same accelerator without the ready-queue round trip.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -137,6 +140,9 @@ class Pool:
         self._batch = use_batch is not False and getattr(
             scheduler, "supports_batch", False
         )
+        # Only drain-safe batch schedulers make a continued decision exact
+        # (see complete_block).
+        self._can_continue = self._batch and scheduler.single_drain_safe
         #: Energy accountant bound by the cluster engine for this run
         #: (survives reset(); ``None`` disables joule accounting).
         self._energy = None
@@ -173,6 +179,9 @@ class Pool:
         self.preemptions = 0
         self.invocations = 0
         self.batch_selects = 0
+        #: Blocks started by a same-accelerator continuation (complete_block)
+        #: instead of a ready-queue round trip and dispatch.
+        self.continued_blocks = 0
         self.max_queue_length = 0
         self.dispatched = 0  # requests first-dispatched in this pool
         self.completed = 0
@@ -413,7 +422,11 @@ class Pool:
         queue ticket-preserving (its scheduler row was stashed at dispatch
         and is restored by the re-append; no completion callbacks fire),
         the optimistic ``busy_time`` charge is rolled back, and the stale
-        block event is invalidated via the kill epoch.  Failed capacity
+        block event is invalidated via the kill epoch.  A drain-safe batch
+        scheduler then re-runs ``on_layer_complete`` for the request: blocks
+        continued since that dispatch never refreshed the stash, and the
+        callback is overwrite-only, so the replay is idempotent and leaves
+        the row as a dispatch at the last boundary would have.  Failed capacity
         stays provisioned — the bill keeps running — but is invisible to
         dispatch and to :meth:`remove_accelerators` until recovery.
 
@@ -441,6 +454,8 @@ class Pool:
                 self._block_epoch[npu] = self._block_epoch.get(npu, 0) + 1
                 self.busy_time -= self._inflight_charge.pop(npu, 0.0)
                 self.queue.append(request)
+                if self._can_continue:
+                    self.scheduler.on_layer_complete(request, now)
                 self.fault_kills += 1
                 killed.append((npu, request))
             self._last_on_npu.pop(npu, None)
@@ -506,19 +521,16 @@ class Pool:
         ``push_event(end_time, pool, npu, request, n_layers, dt)`` schedules
         the block-completion event on the cluster-wide event heap.
         """
-        # Chained timestamps (each stamp closes one segment and opens the
-        # next) attribute the whole call gap-free: placement bookkeeping and
-        # entry/loop-check overhead land in ``dispatch``, scoring in
-        # ``select``, the completion-event push in ``event_heap``.
+        # Scoring lands in ``select`` and the completion-event push in
+        # ``event_heap`` (timed inside _start_block); the rest of the call —
+        # placement bookkeeping, entry and loop checks — in ``dispatch``.
         prof = self._prof
         if prof is not None:
-            t_seg = perf_counter()
-            sel_s = disp_s = heap_s = 0.0
-            iters = 0
+            t_in = perf_counter()
+            sel_s0, heap_s0 = self._p_select_s, self._p_heap_s
         scheduler = self.scheduler
         queue = self.queue
         batch_on = self._batch
-        tracer = self._tracer
         while self.idle and queue:
             npu = heapq.heappop(self.idle)
             nq = len(queue)
@@ -526,117 +538,175 @@ class Pool:
                 t1 = perf_counter()
             if not batch_on or queue.missing_entries:
                 chosen = scheduler.select(queue, now)
+                batched = False
             elif nq == 1:
                 chosen = scheduler.select_single(queue, now)
-                self.batch_selects += 1
+                batched = True
             else:
                 chosen = scheduler.select_batch(queue, now)
-                self.batch_selects += 1
+                batched = True
             if prof is not None:
-                t2 = perf_counter()
-                sel_s += t2 - t1
-            self.invocations += 1
-            if nq > self.max_queue_length:
-                self.max_queue_length = nq
+                self._p_select_s += perf_counter() - t1
+                self._p_select_c += 1
             if chosen not in queue:
                 raise SchedulingError(
                     f"scheduler {scheduler.name!r} (pool {self.name!r}) "
                     "selected a request outside the queue"
                 )
-            if tracer is not None:
-                tracer.emit(KIND_SELECT, now, pool=self.name, npu=npu,
-                            rid=chosen.rid, args={"depth": nq})
-            previous = self._last_on_npu[npu]
-            if previous is not None and chosen is not previous and not previous.is_done:
-                self.preemptions += 1
-            self._last_on_npu[npu] = chosen
-            if chosen.first_dispatch_time is None:
-                chosen.first_dispatch_time = now
-                self.dispatched += 1
-                if tracer is not None:
-                    tracer.emit(KIND_QUEUE, chosen.arrival,
-                                now - chosen.arrival, pool=self.name,
-                                rid=chosen.rid)
-            elif (tracer is not None and chosen.next_layer > 0
-                    and now > chosen.last_run_end):
-                # Stall span: gap since this rid's previous execute span
-                # ended (emitted retroactively at re-dispatch).
-                tracer.emit(KIND_PREEMPT, chosen.last_run_end,
-                            now - chosen.last_run_end, pool=self.name,
-                            npu=npu, rid=chosen.rid)
-            start = now
-            if chosen is not self._resident[npu]:
-                if self.switch_cost > 0.0:
-                    if tracer is not None:
-                        tracer.emit(KIND_SWITCH, now, self.switch_cost,
-                                    pool=self.name, npu=npu, rid=chosen.rid,
-                                    args={"key": chosen._key})
-                    start += self.switch_cost
-                self._resident[npu] = chosen
-                if chosen.key != self._resident_key[npu]:
-                    chosen.num_weight_loads += 1
-                    self._resident_key[npu] = chosen.key
-                    if self._energy is not None:
-                        self.joules_busy += self._energy.switch_energy(chosen.key)
             if batch_on:
                 queue.remove(chosen, requeue=True)
             else:
                 queue.remove(chosen)
-            nl = chosen.next_layer
-            layers = min(self.block_size, chosen.num_layers - nl)
-            speed = self.service_speed(chosen)
-            if self._slowdown != 1.0:
-                # Straggler window: multiplicative service-*time* factor.
-                speed /= self._slowdown
-            if layers == 1:
-                dt = chosen.layer_latencies[nl] / speed
-            else:
-                dt = sum(
-                    chosen.layer_latencies[nl + k] for k in range(layers)
-                ) / speed
-            self.running[npu] = chosen
-            self.busy_time += (start - now) + dt
-            if self._fault_mode:
-                # Remember the optimistic charge so a mid-block kill can
-                # subtract the work that never happened.
-                self._inflight_charge[npu] = (start - now) + dt
-            if tracer is not None:
-                # Span from decision to block end: switch cost included.
-                tracer.emit(KIND_EXECUTE, now, (start + dt) - now,
-                            pool=self.name, npu=npu, rid=chosen.rid,
-                            args={"layers": layers, "key": chosen._key})
-            if prof is not None:
-                t3 = perf_counter()
-                disp_s += (t1 - t_seg) + (t3 - t2)
-            push_event(start + dt, self, npu, chosen, layers, dt)
-            if prof is not None:
-                t_seg = perf_counter()
-                heap_s += t_seg - t3
-                iters += 1
+            self._start_block(now, npu, chosen, nq, batched, push_event)
         if prof is not None:
-            self._p_dispatch_s += disp_s + (perf_counter() - t_seg)
+            self._p_dispatch_s += ((perf_counter() - t_in)
+                                   - (self._p_select_s - sel_s0)
+                                   - (self._p_heap_s - heap_s0))
             self._p_dispatch_c += 1
-            if iters:
-                self._p_select_s += sel_s
-                self._p_select_c += iters
-                self._p_heap_s += heap_s
-                self._p_heap_c += iters
+
+    def _start_block(self, now: float, npu: int, chosen: Request, nq: int,
+                     batched: bool, push_event: Callable[..., None]) -> None:
+        """Start half of the block lifecycle: run ``chosen`` on ``npu``.
+
+        ``chosen`` was decided at queue depth ``nq`` and is already outside
+        the ready queue.  Counts the decision, books preemption and weight
+        switches, charges the block's time, emits the select and execute
+        spans and pushes the block-completion event.  Shared by
+        :meth:`dispatch` and the same-accelerator continuation in
+        :meth:`complete_block`.
+        """
+        tracer = self._tracer
+        self.invocations += 1
+        if batched:
+            self.batch_selects += 1
+        if nq > self.max_queue_length:
+            self.max_queue_length = nq
+        if tracer is not None:
+            tracer.emit(KIND_SELECT, now, pool=self.name, npu=npu,
+                        rid=chosen.rid, args={"depth": nq})
+        previous = self._last_on_npu[npu]
+        if previous is not None and chosen is not previous and not previous.is_done:
+            self.preemptions += 1
+        self._last_on_npu[npu] = chosen
+        if chosen.first_dispatch_time is None:
+            chosen.first_dispatch_time = now
+            self.dispatched += 1
+            if tracer is not None:
+                tracer.emit(KIND_QUEUE, chosen.arrival,
+                            now - chosen.arrival, pool=self.name,
+                            rid=chosen.rid)
+        elif (tracer is not None and chosen.next_layer > 0
+                and now > chosen.last_run_end):
+            # Stall span: gap since this rid's previous execute span
+            # ended (emitted retroactively at re-dispatch).
+            tracer.emit(KIND_PREEMPT, chosen.last_run_end,
+                        now - chosen.last_run_end, pool=self.name,
+                        npu=npu, rid=chosen.rid)
+        start = now
+        if chosen is not self._resident[npu]:
+            if self.switch_cost > 0.0:
+                if tracer is not None:
+                    tracer.emit(KIND_SWITCH, now, self.switch_cost,
+                                pool=self.name, npu=npu, rid=chosen.rid,
+                                args={"key": chosen._key})
+                start += self.switch_cost
+            self._resident[npu] = chosen
+            if chosen.key != self._resident_key[npu]:
+                chosen.num_weight_loads += 1
+                self._resident_key[npu] = chosen.key
+                if self._energy is not None:
+                    self.joules_busy += self._energy.switch_energy(chosen.key)
+        nl = chosen.next_layer
+        layers = min(self.block_size, chosen.num_layers - nl)
+        speed = self.service_speed(chosen)
+        if self._slowdown != 1.0:
+            # Straggler window: multiplicative service-*time* factor.
+            speed /= self._slowdown
+        if layers == 1:
+            dt = chosen.layer_latencies[nl] / speed
+        else:
+            dt = sum(
+                chosen.layer_latencies[nl + k] for k in range(layers)
+            ) / speed
+        self.running[npu] = chosen
+        self.busy_time += (start - now) + dt
+        if self._fault_mode:
+            # Remember the optimistic charge so a mid-block kill can
+            # subtract the work that never happened.
+            self._inflight_charge[npu] = (start - now) + dt
+        if tracer is not None:
+            # Span from decision to block end: switch cost included.
+            tracer.emit(KIND_EXECUTE, now, (start + dt) - now,
+                        pool=self.name, npu=npu, rid=chosen.rid,
+                        args={"layers": layers, "key": chosen._key})
+        if self._prof is None:
+            push_event(start + dt, self, npu, chosen, layers, dt)
+        else:
+            t_push = perf_counter()
+            push_event(start + dt, self, npu, chosen, layers, dt)
+            self._p_heap_s += perf_counter() - t_push
+            self._p_heap_c += 1
 
     def complete_block(self, now: float, npu: int, request: Request,
                        layers: int, dt: float,
-                       t_entry: Optional[float] = None) -> bool:
+                       t_entry: Optional[float] = None,
+                       push_event: Optional[Callable[..., None]] = None,
+                       ) -> Optional[bool]:
         """Fold one finished layer block back into the pool.
 
         Returns True when the request finished all its layers (the caller
-        owns completion accounting); otherwise the request rejoins the queue.
-        ``t_entry`` lets a profiling caller hand over its last clock read so
-        the call transition is attributed instead of falling between
-        brackets.
+        owns completion accounting), False when it rejoined the queue, and
+        None when it continued on ``npu`` (below).  ``t_entry`` lets a
+        profiling caller hand over its last clock read so the call
+        transition is attributed instead of falling between brackets.
+
+        A caller passes ``push_event`` only when nothing else is due at
+        ``now``: no arrival to admit, no other pool left undispatched.  If
+        the request would then be re-dispatched alone (a drain-safe batch
+        scheduler, an empty queue, ``npu`` neither draining nor above the
+        lowest idle id), that forced decision is taken here: the next block
+        starts on ``npu`` through the start half :meth:`dispatch` uses.  It
+        skips the ready-queue round trip, the overwrite-only
+        ``on_layer_complete`` (which writes nothing while the request is
+        outside the queue; :meth:`fail_accelerators` repairs the stash this
+        leaves stale) and, for ``trivial_single`` policies,
+        ``select_single``.  The block event still goes through the caller's
+        heap.
         """
         prof = self._prof
         if prof is not None:
             t_ex = t_entry if t_entry is not None else perf_counter()
+        # Fold half: the finished block's work lands on the request.
+        if self._energy is not None:
+            self.joules_busy += self._energy.block_energy(
+                request, request.next_layer, layers, dt
+            )
+        request.next_layer += layers
+        request.executed_time += dt
+        request.last_run_end = now
+        # A continued npu is re-inserted too: float sums over pending()
+        # follow ``running``'s insertion order, which must match dispatch's.
         del self.running[npu]
+        if (push_event is not None and self._can_continue
+                and not self.queue._n
+                and request.next_layer < request._num_layers
+                and npu not in self._draining
+                and (not self.idle or npu < self.idle[0])):
+            if prof is not None:
+                t0 = perf_counter()
+                self._p_execute_s += t0 - t_ex
+                self._p_execute_c += 1
+                heap_s0 = self._p_heap_s
+            if not self.scheduler.trivial_single:
+                # Per-select state (the current or resident request) must
+                # follow the forced decision exactly as a dispatch would.
+                self.scheduler.select_single((request,), now)
+            self.continued_blocks += 1
+            self._start_block(now, npu, request, 1, True, push_event)
+            if prof is not None:
+                self._p_dispatch_s += (perf_counter() - t0) - (self._p_heap_s - heap_s0)
+                self._p_dispatch_c += 1
+            return None
         if npu in self._draining:
             # Drain-before-remove: the block finished, the request lives on
             # (requeued or complete below); only the accelerator retires.
@@ -648,13 +718,6 @@ class Pool:
             self._resident_key.pop(npu, None)
         else:
             heapq.heappush(self.idle, npu)
-        if self._energy is not None:
-            self.joules_busy += self._energy.block_energy(
-                request, request.next_layer, layers, dt
-            )
-        request.next_layer += layers
-        request.executed_time += dt
-        request.last_run_end = now
         if prof is not None:
             t0 = perf_counter()
             self._p_execute_s += t0 - t_ex

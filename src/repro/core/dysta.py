@@ -227,7 +227,7 @@ class DystaScheduler(Scheduler):
     # -- vectorized fast path ----------------------------------------------
 
     def select_single(self, queue: "ReadyQueue", now: float) -> Request:
-        chosen = queue._requests[0]
+        chosen = queue[0]
         if self._track_resident:
             self._resident = chosen.rid
         return chosen

@@ -24,7 +24,7 @@ parity tests enforce this).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.lut import ModelInfoLUT
 from repro.sim.request import Request
@@ -40,6 +40,9 @@ class EnergyAccountant:
 
     def __init__(self, energy_lut: EnergyLUT):
         self.energy_lut = energy_lut
+        #: key -> (c0, c1, k as lists, static power): one-layer block pricing,
+        #: filled on first use.
+        self._scalar: Dict[str, Tuple[List[float], List[float], List[float], float]] = {}
 
     @classmethod
     def from_model_lut(cls, lut: ModelInfoLUT, **kwargs) -> "EnergyAccountant":
@@ -90,7 +93,27 @@ class EnergyAccountant:
         self, request: Request, start_layer: int, n_layers: int, dt: float
     ) -> float:
         """Joules of one executed layer block (layers ``start..start+n-1``
-        taking ``dt`` seconds of accelerator time)."""
+        taking ``dt`` seconds of accelerator time).
+
+        A one-layer block is priced with :meth:`LayerEnergyTable.dynamic_at`'s
+        scalar formula over plain-list copies of the table's coefficients —
+        the same IEEE operations as the numpy path, so bit-identical, without
+        its per-call array overhead.  Longer blocks keep the numpy slice sum,
+        whose reduction order a running sum would not reproduce.
+        """
+        if n_layers == 1:
+            coeffs = self._scalar.get(request._key)
+            if coeffs is None:
+                table = self.energy_lut.entry(request._key).table
+                coeffs = self._scalar[request._key] = (
+                    table.c0.tolist(), table.c1.tolist(), table.k.tolist(),
+                    table.static_power_w,
+                )
+            c0, c1, k, static_power_w = coeffs
+            density = (1.0 - request.layer_sparsities[start_layer]) * k[start_layer]
+            if density > 1.0:
+                density = 1.0
+            return c0[start_layer] + c1[start_layer] * density + static_power_w * dt
         table = self.energy_lut.entry(request.key).table
         dynamic = float(
             table.dynamic(

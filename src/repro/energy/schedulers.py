@@ -152,7 +152,7 @@ class EnergyEDPScheduler(Scheduler):
             queue.aux_set_for(_AUX_BASE, request, self.base_score(request))
 
     def select_single(self, queue: "ReadyQueue", now: float) -> Request:
-        chosen = queue._requests[0]
+        chosen = queue[0]
         self._resident_kid = self._key_terms(chosen.key)[2]
         return chosen
 

@@ -152,7 +152,10 @@ class Scheduler(abc.ABC):
 
         The default defers to the full scalar path; converted policies
         override it to return ``queue[0]`` directly (updating any per-select
-        state first), which must be decision- and state-equivalent.
+        state first), which must be decision- and state-equivalent.  The
+        cluster pool's same-accelerator continuation passes a one-element
+        tuple instead of the ready queue, so it must be treated as a plain
+        sequence.
         """
         return self.select(queue, now)
 

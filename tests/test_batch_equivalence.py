@@ -17,9 +17,17 @@ multi-accelerator engine, and the cluster tier.
 
 import pytest
 
-from repro.cluster import Pool, simulate_cluster
+from repro.cluster import (
+    AdmissionController,
+    Pool,
+    build_router,
+    make_autoscaler,
+    simulate_cluster,
+)
+from repro.energy import EnergyAccountant
 from repro.errors import SchedulingError
 from repro.core.lut import ModelInfoLUT
+from repro.obs import ListSink, Observability
 from repro.profiling.profiler import benchmark_suite
 from repro.schedulers.base import make_scheduler
 from repro.sim.engine import simulate
@@ -39,6 +47,10 @@ CONVERTED = (
     "oracle",
     "energy_edp",
 )
+
+
+#: Converted policies that pools may continue in place (single_drain_safe).
+DRAIN_SAFE = tuple(name for name in CONVERTED if name != "prema")
 
 
 def scheduler_for(name, lut, **extra):
@@ -168,6 +180,103 @@ class TestClusterEquivalence:
         assert scalar.num_preemptions == batch.num_preemptions
         assert batch.num_batch_selects > 0
         assert scalar.num_batch_selects == 0
+
+    # A pool whose lone request finishes a block starts its next block on
+    # the same accelerator (Pool.complete_block); the scalar path never does,
+    # so it is the reference for the continuation's two invariants.
+
+    @pytest.mark.parametrize("name", ("dysta", "sjf", "fcfs", "energy_edp"))
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_continuation_keeps_running_order(self, mixed_world, name, seed):
+        # The SLO guard, predictive autoscaler and router sum floats over
+        # Pool.pending(), i.e. over ``running`` in insertion order, so a
+        # continued npu must move to the end exactly as complete + dispatch
+        # moves it.  Three accelerators: with two, the completing npu has
+        # already left ``running`` whenever admission looks.
+        traces, lut = mixed_world
+
+        class Recording(AdmissionController):
+            def admit(self, request, pool, now):
+                self.seen.append((list(pool.running),
+                                  sorted(r.rid for r in pool.queue)))
+                return None
+
+        def run(use_batch):
+            admission = Recording()
+            admission.seen = []
+            pool = Pool("a", scheduler_for(name, lut), 3, use_batch=use_batch)
+            spec = WorkloadSpec(9.0, n_requests=150, slo_multiplier=10.0, seed=seed)
+            result = simulate_cluster(generate_workload(traces, spec), [pool],
+                                      admission=admission)
+            return admission.seen, result
+
+        scalar_seen, scalar = run(False)
+        batch_seen, batch = run(None)
+        assert batch.num_continued_blocks > 0
+        assert scalar.num_continued_blocks == 0
+        assert batch_seen == scalar_seen
+
+    @pytest.mark.parametrize("name", DRAIN_SAFE)
+    @pytest.mark.parametrize("rate", (3.0, 6.0))
+    def test_continuation_matches_scalar_full_stack(self, mixed_world, name, rate):
+        # Per-select state (fcfs's current request, energy_edp's resident
+        # key, dysta_switchaware's resident rid) must follow every continued
+        # decision; everything that reads pool state rides along.
+        traces, lut = mixed_world
+        accountant = EnergyAccountant.from_model_lut(lut)
+
+        def run(use_batch):
+            pools = [Pool(p, scheduler_for(name, lut), 2, switch_cost=0.001,
+                          use_batch=use_batch) for p in ("a", "b")]
+            sink = ListSink()
+            spec = WorkloadSpec(rate, n_requests=300, slo_multiplier=10.0, seed=1)
+            result = simulate_cluster(
+                generate_workload(traces, spec), pools,
+                build_router("predictive", lut),
+                admission=AdmissionController(slo_guard=True, lut=lut),
+                autoscaler=make_autoscaler("predictive", lut=lut),
+                energy=accountant, obs=Observability(sinks=[sink]),
+            )
+            spans = [(e.kind, e.time, e.dur, e.pool, e.npu, e.rid, e.args)
+                     for e in sink.events]
+            stats = [(s.busy_time, s.joules_busy, s.acc_seconds_provisioned)
+                     for s in result.pool_stats.values()]
+            return result, spans, stats
+
+        scalar, scalar_spans, scalar_stats = run(False)
+        batch, batch_spans, batch_stats = run(None)
+        assert batch.num_continued_blocks > 0
+        assert [(r.rid, r.finish_time) for r in batch.requests] == [
+            (r.rid, r.finish_time) for r in scalar.requests
+        ]
+        assert batch_stats == scalar_stats
+        assert batch_spans == scalar_spans
+
+    @pytest.mark.parametrize("name", ("dysta", "energy_edp"))
+    def test_faulted_sweep_cell_matches_scalar(self, monkeypatch, name):
+        # An outage re-queues a killed request from the stash its last real
+        # dispatch left; blocks continued since then never refreshed it.
+        # The perfbench sweep configuration hits exactly that.
+        import repro.cluster
+        from repro.scenarios import SweepConfig
+        from repro.scenarios.runner import _run_cell
+
+        config = SweepConfig(
+            scenarios=("multi_tenant",), schedulers=(name,), seeds=(2,),
+            duration=12.0, n_profile_samples=100, engine="cluster",
+            pool_size=2, autoscale="reactive", max_queue_depth=64,
+            energy=True, telemetry_interval=1.0, alerts=True, faults="chaos",
+        )
+        cell = ("multi_tenant", name, 2, config)
+        _, batch = _run_cell(cell)
+
+        class ScalarPool(Pool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, use_batch=False, **kwargs)
+
+        monkeypatch.setattr(repro.cluster, "Pool", ScalarPool)
+        _, scalar = _run_cell(cell)
+        assert batch == scalar
 
     def test_shared_scheduler_instance_rejected(self, toy_traces, toy_lut):
         # A scheduler instance binds to one pool's queue (and carries

@@ -6,6 +6,9 @@ always-admit controller must reproduce the single-NPU engine step for step
 engine is a strict generalization rather than a second simulator.
 """
 
+import inspect
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +72,15 @@ class TestValidation:
             Pool("a", sched, 1, block_size=0)
         with pytest.raises(SchedulingError):
             Pool("a", sched, 1, affinity={"short": 0.0})
+
+    def test_public_pool_methods_resolve_type_hints(self):
+        # Annotations are deferred strings: a name the module never imports
+        # only fails when something (docs, IDEs, typing tools) resolves it.
+        methods = [(name, fn) for name, fn in inspect.getmembers(Pool, inspect.isfunction)
+                   if not name.startswith("_")]
+        assert any(name == "recover_accelerators" for name, _ in methods)
+        for name, fn in methods:
+            typing.get_type_hints(fn)
 
     def test_unknown_router_rejected(self):
         with pytest.raises(SchedulingError, match="unknown router"):

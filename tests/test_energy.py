@@ -30,7 +30,7 @@ from repro.schedulers.base import make_scheduler
 from repro.sim.engine import simulate
 from repro.sim.metrics import summarize
 from repro.sim.multi import simulate_multi
-from repro.sim.workload import WorkloadSpec, generate_workload
+from repro.sim.workload import WorkloadSpec, generate_workload, request_from_trace
 from repro.sparsity.patterns import DENSE, SparsityPattern, WeightSparsityConfig
 
 from conftest import make_request
@@ -93,7 +93,7 @@ class TestLayerEnergyTable:
         s = np.linspace(0.1, 0.9, model.num_layers)
         vector = table.dynamic(s)
         for j in range(model.num_layers):
-            assert table.dynamic_at(j, float(s[j])) == pytest.approx(vector[j])
+            assert table.dynamic_at(j, float(s[j])) == vector[j]
 
     def test_validation(self):
         with pytest.raises(ProfilingError):
@@ -197,6 +197,30 @@ class TestWeightLoadCounting:
 
 
 class TestAccounting:
+    def test_one_layer_block_energy_is_bit_exact(self):
+        """The scalar one-layer pricing equals the numpy formula bit for bit,
+        on every layer of every key of both families — clamped Eyeriss
+        densities included."""
+        traces = dict(benchmark_suite("attnn", n_samples=8, seed=0))
+        traces.update(benchmark_suite("cnn", n_samples=8, seed=0))
+        accountant = EnergyAccountant.from_model_lut(ModelInfoLUT(traces))
+        checked = clamped = 0
+        for key, trace in traces.items():
+            table = accountant.energy_lut.entry(key).table
+            assert not table.synthetic
+            for row in range(trace.num_samples):
+                request = request_from_trace(trace, row, rid=row, arrival=0.0,
+                                             slo_multiplier=10.0)
+                for j, (s, dt) in enumerate(zip(request.layer_sparsities,
+                                                request.layer_latencies)):
+                    expected = (float(table.dynamic([s], start=j).sum())
+                                + table.static_power_w * dt)
+                    assert accountant.block_energy(request, j, 1, dt) == expected
+                    checked += 1
+                    clamped += (1.0 - s) * table.k[j] > 1.0
+        assert len(traces) == 15 and checked > 5000
+        assert clamped > 0
+
     def _cluster_run(self, traces, lut, accountant, *, speed=1.0,
                      block_size=1, switch_cost=0.0, scheduler="dysta"):
         spec = WorkloadSpec(arrival_rate=40.0, n_requests=120,
