@@ -1,11 +1,12 @@
 """Event-driven cluster simulator: router → pools → per-pool schedulers.
 
-The cluster tier generalizes :func:`repro.sim.multi.simulate_multi` from one
-flat pool to named heterogeneous pools behind a routing policy with optional
-admission control.  Per-pool scheduling semantics are unchanged (the
-``Scheduler`` interface is reused unmodified), so with one pool of one
-accelerator and an always-admit controller the simulation is step-for-step
-identical to :func:`repro.sim.engine.simulate` (tested).
+Named heterogeneous pools sit behind a routing policy with optional
+admission control; each pool schedules its own queue with an unmodified
+``Scheduler``.  This event loop is also the multi-NPU engine:
+:func:`repro.sim.multi.simulate_multi` is a run of one pool behind the
+round-robin router.  With one pool of one accelerator and an always-admit
+controller the simulation is step-for-step identical to
+:func:`repro.sim.engine.simulate` (tested).
 
 Requests may be a list or any iterator sorted by arrival time; combined with
 ``retain_requests=False`` and :func:`repro.sim.workload.iter_workload`, the

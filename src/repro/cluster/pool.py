@@ -3,8 +3,10 @@
 A pool is N accelerators of one type behind one ready queue with its own
 scheduler instance (any policy from :mod:`repro.schedulers` — the
 ``Scheduler`` interface is reused unmodified).  Within a pool, scheduling
-semantics are exactly those of :func:`repro.sim.multi.simulate_multi`:
-layer-block-granularity preemption, per-NPU resident-weights switch cost.
+is layer-block-granularity preemption with per-NPU resident-weights switch
+cost.  :meth:`Pool.dispatch` and :meth:`Pool.complete_block` are the only
+multi-NPU dispatch loop: :func:`repro.sim.multi.simulate_multi` runs one
+pool through the cluster engine.
 
 Capacity is **elastic**: :meth:`Pool.add_accelerators` provisions new
 accelerators that become schedulable only after a warm-up delay (cold

@@ -54,7 +54,7 @@ KIND_RECOVER = "recover"        # an injected fault's window ended
 #: Kinds that end a request's lifecycle.
 TERMINAL_KINDS = (KIND_SHED, KIND_COMPLETE, KIND_VIOLATE)
 
-#: Lane name used by the single-/multi-NPU engines (no pools).
+#: Lane of the single-NPU engine, and the name of ``simulate_multi``'s one pool.
 ENGINE_LANE = "engine"
 
 
@@ -180,18 +180,35 @@ def iter_jsonl(path) -> Iterator[TraceEvent]:
     Bounded memory: each line is parsed, yielded and forgotten — the
     substrate for folding arbitrarily long recorded traces into ledgers
     and summaries without loading the file.
+
+    A torn tail — a malformed final line with no trailing newline, as a
+    writer killed mid-line leaves behind — is dropped after the events
+    before it.  Any other malformed line, or an unreadable path, raises
+    :class:`~repro.errors.ObservabilityError` naming ``path:line``.
     """
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ObservabilityError(f"{path}: cannot read trace: {exc.strerror}") from None
+    with fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            yield TraceEvent(
-                row["kind"], row["time"], row.get("dur", 0.0),
-                row.get("pool", ENGINE_LANE), row.get("npu", -1),
-                row.get("rid", -1), row.get("args"),
-            )
+            try:
+                row = json.loads(line)
+                event = TraceEvent(
+                    row["kind"], row["time"], row.get("dur", 0.0),
+                    row.get("pool", ENGINE_LANE), row.get("npu", -1),
+                    row.get("rid", -1), row.get("args"),
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                if not raw.endswith(b"\n"):
+                    return  # torn tail
+                raise ObservabilityError(
+                    f"{path}:{lineno}: malformed trace event: {exc!r}"
+                ) from None
+            yield event
 
 
 def read_jsonl(path) -> List[TraceEvent]:

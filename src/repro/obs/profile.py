@@ -16,8 +16,7 @@ the engines skip every bracket behind a ``profiler is None`` check.
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Dict, Optional
+from typing import Dict
 
 #: Canonical engine phase names (engines may add their own).
 PHASE_ARRIVALS = "arrivals"        # admit/route arrivals into ready queues
@@ -33,33 +32,16 @@ PHASE_DISPATCH = "dispatch"        # placement bookkeeping around selection
 class PhaseProfiler:
     """Accumulates wall-clock seconds per named engine phase.
 
-    Engines use the :meth:`start`/:meth:`stop` bracket on their hot paths
-    (one running phase at a time, no nesting — the engines' phases are
-    sequential) and :meth:`add` for pre-measured deltas.
+    Engines time their hot paths with their own ``perf_counter`` brackets
+    and charge the deltas through :meth:`add`.
     """
 
-    __slots__ = ("phases", "calls", "_t0", "_phase", "wall_s")
+    __slots__ = ("phases", "calls", "wall_s")
 
     def __init__(self):
         self.phases: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
         self.wall_s = 0.0
-        self._t0 = 0.0
-        self._phase: Optional[str] = None
-
-    def start(self, phase: str) -> None:
-        """Open a bracket; the next :meth:`stop` charges this phase."""
-        self._phase = phase
-        self._t0 = perf_counter()
-
-    def stop(self) -> None:
-        """Close the open bracket and charge the elapsed time."""
-        dt = perf_counter() - self._t0
-        phase = self._phase
-        if phase is not None:
-            self.phases[phase] = self.phases.get(phase, 0.0) + dt
-            self.calls[phase] = self.calls.get(phase, 0) + 1
-            self._phase = None
 
     def add(self, phase: str, dt: float, calls: int = 1) -> None:
         """Charge a pre-measured delta to ``phase``."""

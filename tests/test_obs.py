@@ -330,19 +330,14 @@ class TestTelemetry:
 
 
 class TestPhaseProfiler:
-    def test_bracket_and_add(self):
+    def test_add_accumulates_seconds_and_calls(self):
         prof = PhaseProfiler()
-        prof.start("select")
-        prof.stop()
+        prof.add("select", 0.25)
         prof.add("select", 0.5)
         prof.add("execute", 1.5, calls=3)
         assert prof.calls == {"select": 2, "execute": 3}
-        assert prof.total_s == pytest.approx(prof.phases["select"] + 1.5)
-
-    def test_stop_without_start_is_harmless(self):
-        prof = PhaseProfiler()
-        prof.stop()
-        assert prof.phases == {}
+        assert prof.phases == {"select": 0.75, "execute": 1.5}
+        assert prof.total_s == pytest.approx(2.25)
 
     def test_breakdown_sorted_by_time_and_fractions_sum(self):
         prof = PhaseProfiler()
@@ -670,6 +665,21 @@ class TestEngineTelemetry:
             assert f"{pool}_busy_npus" in cols
             assert f"{pool}_provisioned" in cols
         assert "completed" in cols and "shed" in cols
+
+    def test_multi_engine_is_a_one_pool_cluster_run(self):
+        # simulate_multi runs one pool through the cluster kernel: the
+        # pool's telemetry columns, and one route instant per request.
+        traces, lut, spec = toy_world(rate=120.0, n_requests=60)
+        obs = Observability(trace=True, telemetry=0.05)
+        simulate_multi(generate_workload(traces, spec),
+                       make_scheduler("dysta", lut), num_accelerators=2,
+                       obs=obs)
+        assert obs.telemetry.columns() == [
+            "t", "completed", "engine_busy_npus", "engine_provisioned",
+            "engine_queue_depth", "shed", "violations"]
+        routes = filter_events(obs.bus.events, KIND_ROUTE)
+        assert sorted(e.rid for e in routes) == list(range(60))
+        assert {e.pool for e in routes} == {ENGINE_LANE}
 
     def test_telemetry_identical_for_any_worker_count(self, tmp_path):
         from repro.scenarios import SweepConfig, run_sweep

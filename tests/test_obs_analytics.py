@@ -16,6 +16,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.dom.minidom
 
 import pytest
@@ -560,6 +562,88 @@ class TestCli:
                      "--json", "--out", str(out_json)]) == 0
         doc = json.loads(out_json.read_text())
         assert doc["summary"]["n_closed"] == 80
+
+
+# ---------------------------------------------------------------------------
+# Torn and corrupt recorded traces
+# ---------------------------------------------------------------------------
+
+
+class TestDamagedTraces:
+    @pytest.fixture
+    def torn(self, recorded_trace, tmp_path):
+        """``(torn, prefix)``: the trace cut mid-way through its last line,
+        and the same trace with that line dropped cleanly."""
+        lines = recorded_trace.read_text().splitlines(keepends=True)
+        prefix = tmp_path / "prefix.jsonl"
+        prefix.write_text("".join(lines[:-1]))
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        return torn, prefix
+
+    @pytest.fixture
+    def corrupt(self, recorded_trace, tmp_path):
+        lines = recorded_trace.read_text().splitlines(keepends=True)
+        path = tmp_path / "corrupt.jsonl"
+        path.write_text("".join(lines[:3]) + "#garbage\n" + "".join(lines[3:]))
+        return path
+
+    def test_torn_tail_folds_the_lines_before_it(self, recorded_trace, torn):
+        torn_path, prefix = torn
+        counts = summarize_jsonl(torn_path)
+        assert counts == summarize_jsonl(prefix)
+        assert sum(counts.values()) == sum(summarize_jsonl(recorded_trace).values()) - 1
+        assert (RequestLedger.from_jsonl(torn_path).summary()
+                == RequestLedger.from_jsonl(prefix).summary())
+
+    def test_garbage_mid_file_raises_with_location(self, corrupt):
+        with pytest.raises(ObservabilityError, match=r"corrupt\.jsonl:4: "):
+            summarize_jsonl(corrupt)
+        with pytest.raises(ObservabilityError, match=r"corrupt\.jsonl:4: "):
+            RequestLedger.from_jsonl(corrupt)
+
+    @pytest.mark.parametrize("line", ['[1, 2]\n', '{"time": 0.0}\n', '"kind"\n'])
+    def test_non_event_json_line_raises(self, tmp_path, line):
+        path = tmp_path / "odd.jsonl"
+        path.write_text('{"kind": "arrive", "time": 0.0}\n' + line)
+        with pytest.raises(ObservabilityError, match=r"odd\.jsonl:2: "):
+            summarize_jsonl(path)
+
+    def test_cli_reports_corrupt_trace(self, corrupt, capsys):
+        from repro.cli import main
+        for argv in (["trace", "--summary", str(corrupt)],
+                     ["report", "--from-trace", str(corrupt)],
+                     ["explain", "5", "--from-trace", str(corrupt)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith(f"error: {corrupt}:4: ")
+
+    def test_cli_process_prints_no_traceback(self, corrupt):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "trace", "--summary", str(corrupt)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {corrupt}:4: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_cli_reports_missing_trace(self, tmp_path, capsys):
+        from repro.cli import main
+        missing = tmp_path / "absent.jsonl"
+        assert main(["trace", "--summary", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {missing}: cannot read trace")
+
+    def test_cli_summarizes_torn_trace(self, torn, capsys):
+        from repro.cli import main
+        torn_path, prefix = torn
+        # The cut-off terminal event leaves one arrival unmatched.
+        assert main(["trace", "--summary", str(torn_path)]) == 1
+        out = capsys.readouterr().out
+        assert "VIOLATED" in out
+        assert f"{sum(summarize_jsonl(prefix).values())} events" in out
+        assert main(["report", "--from-trace", str(torn_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["n_closed"] == 79
 
 
 # ---------------------------------------------------------------------------
