@@ -29,10 +29,12 @@ disabled, so remaining times fall back to the static LUT averages.
 changes when a layer of that request completes, so in batch mode it is
 computed once per monitor event (``on_layer_complete``) and cached in the
 ready queue's ``dysta_rem`` aux column instead of being re-derived for every
-queued request at every decision.  ``select_batch`` then scores the whole
-queue in one pass — a tight scalar loop over the column mirrors at small
-depths, one numpy expression at large depths — replicating the scalar
-arithmetic operation-for-operation so decisions are bit-identical.
+queued request at every decision.  Besides the scalar ``dynamic_score``
+(the spec), the score exists twice: ``inc_best`` (a loop over the column
+list mirrors, which serves shallow queues and the selection cache's
+lookups) and ``np_scores`` (one numpy expression, which serves the cache's
+full scans and the fp16 mode).  Both replicate the scalar arithmetic
+operation-for-operation, so decisions are bit-identical.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from repro.core.predictor import (
     PredictorStrategy,
     SparseLatencyPredictor,
 )
-from repro.schedulers.base import Scheduler, register_scheduler
-from repro.sim.ready_queue import ReadyQueue, np_lexmin
+from repro.schedulers.base import INF, Scheduler, register_scheduler
+from repro.sim.ready_queue import ReadyQueue
 from repro.sim.request import Request
 
 _AUX_REM = "dysta_rem"
@@ -82,7 +84,6 @@ class DystaScheduler(Scheduler):
 
     #: Switch-cost extension hooks (see :class:`DystaSwitchAware`); the base
     #: policy charges nothing and tracks nothing.
-    _track_resident = False
     switch_cost = 0.0
     _resident: Optional[int] = None
 
@@ -117,11 +118,12 @@ class DystaScheduler(Scheduler):
         # waiting penalty only grows with time); the margin absorbs float
         # rounding in the per-lookup recomputation.  FP16 quantization snaps
         # scores to a coarse grid, breaking the smooth-decay bound, so the
-        # fp16 mode keeps the full-scan path.
+        # fp16 mode keeps the numpy full-scan path.
         self.inc_decay_rate = eta
         self.inc_margin = 1e-9
         if score_dtype == "fp16":
             self.incremental = False
+            self.numpy_min_queue = 0  # np_scores quantizes; inc_best does not
 
     def _quantize(self, value: float) -> float:
         """Round a score-path value to the configured hardware precision."""
@@ -219,20 +221,12 @@ class DystaScheduler(Scheduler):
 
     def select(self, queue: Sequence[Request], now: float) -> Request:
         n_queue = len(queue)
-        chosen = min(queue, key=lambda r: (self.dynamic_score(r, now, n_queue), r.rid))
-        if self._track_resident:
-            self._resident = chosen.rid
-        return chosen
+        return min(queue, key=lambda r: (self.dynamic_score(r, now, n_queue), r.rid))
 
     # -- vectorized fast path ----------------------------------------------
 
     def select_single(self, queue: "ReadyQueue", now: float) -> Request:
-        chosen = queue[0]
-        if self._track_resident:
-            self._resident = chosen.rid
-        return chosen
-
-    # -- incremental selection ---------------------------------------------
+        return queue[0]
 
     def inc_guard(self):
         # Switch-aware scores depend on which request is resident; the base
@@ -241,8 +235,8 @@ class DystaScheduler(Scheduler):
 
     def inc_best(self, queue: "ReadyQueue", idxs, now: float,
                  clear_at: float, journal: set):
-        """Exact Algorithm-2 scores for the candidate rows (same arithmetic
-        as the tight loop in :meth:`select_batch`, term for term)."""
+        """List kernel: :meth:`dynamic_score` term for term over the list
+        mirrors (fp16 quantization excepted: that mode scores with numpy)."""
         eta = self.eta
         res = self._resident
         swc = self.switch_cost if res is not None else 0.0
@@ -254,7 +248,7 @@ class DystaScheduler(Scheduler):
         rid_l = self._t_rid
         n = queue._n
         best = -1
-        b_score = b_rid = float("inf")
+        b_score = b_rid = INF
         for i in idxs:
             rem = rem_l[i]
             slack = dl_l[i] - now - rem
@@ -276,108 +270,27 @@ class DystaScheduler(Scheduler):
                 journal.discard(rid)
         return best, b_score
 
-    def inc_full_scan(self, queue: "ReadyQueue", now: float, cache) -> Request:
-        # Same expression tree as _select_np (fp16 never reaches here), plus
-        # the ladder rebuild and the scan-time max of the shrinkable
-        # penalty term for the cache's queue-growth correction.
+    def np_scores(self, queue: "ReadyQueue", now: float):
+        """Numpy kernel: the same expression tree over the array columns,
+        quantized like :meth:`dynamic_score` in fp16 mode; ``pen_scale`` is
+        the scan-time max of the shrinkable penalty term (the cache's
+        queue-growth correction)."""
         n = queue._n
         rem = queue.aux_np(_AUX_REM)[:n]
-        iso = queue.aux_np(_AUX_ISO)[:n]
-        slack = np.maximum(queue.np_deadline[:n] - now - rem,
-                           queue.aux_np(_AUX_NEG_ISO)[:n])
-        wait = np.maximum(now - queue.np_last_run_end[:n], 0.0)
-        pen = (wait / iso) / n
-        score = rem + self.eta * (slack + pen)
-        rid = queue.np_rid[:n]
-        if self.switch_cost and self._resident is not None:
-            score = np.where(rid != self._resident, score + self.switch_cost, score)
-        chosen = queue[np_lexmin(score, rid)]
-        cache.rebuild(score, now, pen_scale=self.eta * float(pen.max()))
-        return chosen
-
-    def select_batch(self, queue: "ReadyQueue", now: float) -> Request:
-        cache = self._cache
-        n = queue._n
-        if cache is not None and n >= self.inc_min_queue:
-            chosen = cache.lookup(now)
-            if self._track_resident:
-                self._resident = chosen.rid
-            return chosen
-        if self.score_dtype == "fp16" or n >= self.numpy_min_queue:
-            chosen = self._select_np(queue, now, n)
-        else:
-            # Tight scalar loop over the list mirrors; same arithmetic as
-            # `dynamic_score`, term for term.
-            eta = self.eta
-            res = self._resident
-            swc = self.switch_cost if res is not None else 0.0
-            rem_l = self._t_rem
-            iso_l = self._t_iso
-            ni_l = self._t_ni
-            dl_l = self._t_dl
-            lre_l = self._t_lre
-            rid_l = self._t_rid
-            best = 0
-            best_score = None
-            if swc:
-                best_rid = 0
-                for i in range(n):
-                    rem = rem_l[i]
-                    slack = dl_l[i] - now - rem
-                    neg_iso = ni_l[i]
-                    if slack < neg_iso:
-                        slack = neg_iso
-                    wait = now - lre_l[i]
-                    if wait < 0.0:
-                        wait = 0.0
-                    score = rem + eta * (slack + (wait / iso_l[i]) / n)
-                    rid = rid_l[i]
-                    if rid != res:
-                        score += swc
-                    if best_score is None or score < best_score or (
-                        score == best_score and rid < best_rid
-                    ):
-                        best_score = score
-                        best_rid = rid
-                        best = i
-            else:
-                # Common case (no switch-cost term): rids only matter on
-                # ties, so skip the per-element rid read.
-                for i in range(n):
-                    rem = rem_l[i]
-                    slack = dl_l[i] - now - rem
-                    neg_iso = ni_l[i]
-                    if slack < neg_iso:
-                        slack = neg_iso
-                    wait = now - lre_l[i]
-                    if wait < 0.0:
-                        wait = 0.0
-                    score = rem + eta * (slack + (wait / iso_l[i]) / n)
-                    if best_score is None or score < best_score:
-                        best_score = score
-                        best = i
-                    elif score == best_score and rid_l[i] < rid_l[best]:
-                        best = i
-            chosen = queue._requests[best]
-        if self._track_resident:
-            self._resident = chosen.rid
-        return chosen
-
-    def _select_np(self, queue: "ReadyQueue", now: float, n: int) -> Request:
-        rem = queue.aux_np(_AUX_REM)[:n]
-        iso = queue.aux_np(_AUX_ISO)[:n]
-        if self.score_dtype == "fp16":
+        fp16 = self.score_dtype == "fp16"
+        if fp16:
             rem = rem.astype(np.float16).astype(np.float64)
         slack = np.maximum(queue.np_deadline[:n] - now - rem,
                            queue.aux_np(_AUX_NEG_ISO)[:n])
         wait = np.maximum(now - queue.np_last_run_end[:n], 0.0)
-        score = rem + self.eta * (slack + (wait / iso) / n)
-        if self.score_dtype == "fp16":
+        pen = (wait / queue.aux_np(_AUX_ISO)[:n]) / n
+        score = rem + self.eta * (slack + pen)
+        if fp16:
             score = score.astype(np.float16).astype(np.float64)
         rid = queue.np_rid[:n]
         if self.switch_cost and self._resident is not None:
             score = np.where(rid != self._resident, score + self.switch_cost, score)
-        return queue[np_lexmin(score, rid)]
+        return score, (rid,), self.eta * float(pen.max())
 
 
 @register_scheduler("dysta")
@@ -410,7 +323,6 @@ class DystaSwitchAware(DystaScheduler):
     hardware cost.
     """
 
-    _track_resident = True
     trivial_single = False  # select_single updates the resident-model state
 
     def __init__(self, lut: ModelInfoLUT, switch_cost: float = 0.0, **kwargs):
@@ -428,6 +340,21 @@ class DystaSwitchAware(DystaScheduler):
         if self._resident is not None and request.rid != self._resident:
             score += self.switch_cost
         return score
+
+    def select(self, queue: Sequence[Request], now: float) -> Request:
+        chosen = DystaScheduler.select(self, queue, now)
+        self._resident = chosen.rid
+        return chosen
+
+    def select_single(self, queue: "ReadyQueue", now: float) -> Request:
+        chosen = queue[0]
+        self._resident = chosen.rid
+        return chosen
+
+    def select_batch(self, queue: "ReadyQueue", now: float) -> Request:
+        chosen = Scheduler.select_batch(self, queue, now)
+        self._resident = chosen.rid
+        return chosen
 
 
 @register_scheduler("dysta_static")
@@ -486,7 +413,7 @@ class DystaStaticOnly(Scheduler):
         sc_l = self._t_sc
         rid_l = queue.ls_rid
         best = -1
-        b_score = b_rid = float("inf")
+        b_score = b_rid = INF
         for i in idxs:
             score = sc_l[i]
             if score > b_score:
@@ -498,29 +425,6 @@ class DystaStaticOnly(Scheduler):
                 best, b_score, b_rid = i, score, rid
         return best, b_score
 
-    def inc_full_scan(self, queue: "ReadyQueue", now: float, cache) -> Request:
+    def np_scores(self, queue: "ReadyQueue", now: float):
         n = queue._n
-        sc = queue.aux_np("static_score")[:n]
-        chosen = queue[np_lexmin(sc, queue.np_rid[:n])]
-        cache.rebuild(sc, now)
-        return chosen
-
-    def select_batch(self, queue: "ReadyQueue", now: float) -> Request:
-        cache = self._cache
-        n = len(queue)
-        if cache is not None and n >= self.inc_min_queue:
-            return cache.lookup(now)
-        if n >= self.numpy_min_queue:
-            return queue[np_lexmin(queue.aux_np("static_score")[:n], queue.np_rid[:n])]
-        sc_l = queue.aux_list("static_score")
-        rid_l = queue.ls_rid
-        best = 0
-        best_score = sc_l[0]
-        best_rid = rid_l[0]
-        for i in range(1, n):
-            score = sc_l[i]
-            if score < best_score or (score == best_score and rid_l[i] < best_rid):
-                best_score = score
-                best_rid = rid_l[i]
-                best = i
-        return queue[best]
+        return queue.aux_np("static_score")[:n], (queue.np_rid[:n],), 0.0

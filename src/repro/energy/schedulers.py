@@ -40,8 +40,8 @@ import numpy as np
 
 from repro.core.lut import ModelInfoLUT
 from repro.obs.bus import KIND_POWERCAP
-from repro.schedulers.base import Scheduler, register_scheduler
-from repro.sim.ready_queue import ReadyQueue, np_lexmin
+from repro.schedulers.base import INF, Scheduler, register_scheduler
+from repro.sim.ready_queue import ReadyQueue
 from repro.sim.request import Request
 
 from repro.energy.lut import EnergyLUT
@@ -168,7 +168,7 @@ class EnergyEDPScheduler(Scheduler):
         rid_l = queue.ls_rid
         res_f = -1.0 if self._resident_kid is None else float(self._resident_kid)
         best = -1
-        b_sc = b_arr = b_rid = float("inf")
+        b_sc = b_arr = b_rid = INF
         for i in idxs:
             sc = base_l[i]
             if kid_l[i] != res_f:
@@ -183,57 +183,18 @@ class EnergyEDPScheduler(Scheduler):
                 best, b_sc, b_arr, b_rid = i, sc, arr, rid
         return best, b_sc
 
-    def inc_full_scan(self, queue: "ReadyQueue", now: float, cache) -> Request:
+    def np_scores(self, queue: "ReadyQueue", now: float):
         n = queue._n
         res = self._resident_kid
-        kid = queue.aux_np(_AUX_KID)[:n]
         score = queue.aux_np(_AUX_BASE)[:n] + np.where(
-            kid != (-1.0 if res is None else float(res)),
+            queue.aux_np(_AUX_KID)[:n] != (-1.0 if res is None else float(res)),
             queue.aux_np(_AUX_PENALTY)[:n],
             0.0,
         )
-        chosen = queue[np_lexmin(score, queue.np_arrival[:n], queue.np_rid[:n])]
-        cache.rebuild(score, now)
-        return chosen
+        return score, (queue.np_arrival[:n], queue.np_rid[:n]), 0.0
 
     def select_batch(self, queue: "ReadyQueue", now: float) -> Request:
-        cache = self._cache
-        n = queue._n
-        if cache is not None and n >= self.inc_min_queue:
-            chosen = cache.lookup(now)
-            self._resident_kid = self._key_terms(chosen.key)[2]
-            return chosen
-        res = self._resident_kid
-        if n >= self.numpy_min_queue:
-            kid = queue.aux_np(_AUX_KID)[:n]
-            score = queue.aux_np(_AUX_BASE)[:n] + np.where(
-                kid != (-1.0 if res is None else float(res)),
-                queue.aux_np(_AUX_PENALTY)[:n],
-                0.0,
-            )
-            chosen = queue[np_lexmin(score, queue.np_arrival[:n], queue.np_rid[:n])]
-        else:
-            base_l = queue.aux_list(_AUX_BASE)
-            pen_l = queue.aux_list(_AUX_PENALTY)
-            kid_l = queue.aux_list(_AUX_KID)
-            arr_l = queue.ls_arrival
-            rid_l = queue.ls_rid
-            res_f = -1.0 if res is None else float(res)
-            best = 0
-            b_sc = None
-            b_arr = 0.0
-            b_rid = 0
-            for i in range(n):
-                sc = base_l[i]
-                if kid_l[i] != res_f:
-                    sc = sc + pen_l[i]
-                if b_sc is None or sc < b_sc:
-                    best, b_sc, b_arr, b_rid = i, sc, arr_l[i], rid_l[i]
-                elif sc == b_sc:
-                    arr = arr_l[i]
-                    if arr < b_arr or (arr == b_arr and rid_l[i] < b_rid):
-                        best, b_arr, b_rid = i, arr, rid_l[i]
-            chosen = queue._requests[best]
+        chosen = Scheduler.select_batch(self, queue, now)
         self._resident_kid = self._key_terms(chosen.key)[2]
         return chosen
 

@@ -15,29 +15,39 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from repro.core.lut import ModelInfoLUT
 from repro.errors import SchedulingError
+from repro.sim.ready_queue import np_lexmin
 from repro.sim.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.ready_queue import ReadyQueue
 
+#: Start value of every list kernel's running best (a module global is
+#: cheaper than a ``float("inf")`` call per selection).
+INF = float("inf")
+#: Journal for list-kernel scans outside the cache: nothing is ever added.
+_NO_JOURNAL: set = set()
+
 
 class Scheduler(abc.ABC):
     """Base class for all scheduling policies.
 
-    Policies implement the scalar :meth:`select`.  Converted policies
-    additionally opt into the vectorized fast path by setting
-    ``supports_batch = True`` and implementing :meth:`select_batch` over the
-    engines' :class:`~repro.sim.ready_queue.ReadyQueue`; unconverted
-    policies transparently keep the scalar path.  Both paths must make
-    bit-identical decisions (the golden schedule-equivalence tests enforce
-    it), which the converted policies achieve by replicating the scalar
-    arithmetic operation-for-operation over the queue's cached columns.
+    Policies implement the scalar :meth:`select`, which is the spec.
+    Converted policies opt into the vectorized fast path by setting
+    ``supports_batch = True`` and implementing two kernels over the engines'
+    :class:`~repro.sim.ready_queue.ReadyQueue` columns: :meth:`inc_best`
+    (a loop over the list mirrors for a set of rows) and :meth:`np_scores`
+    (one numpy pass over the whole queue).  The shared :meth:`select_batch`
+    and :meth:`inc_full_scan` run on them; unconverted policies keep the
+    scalar path.  All paths must make bit-identical decisions (the golden
+    schedule-equivalence tests enforce it), which the kernels achieve by
+    replicating the scalar arithmetic operation-for-operation.
     """
 
     #: Registry / display name; subclasses override.
     name: str = "base"
 
-    #: Converted policies set True and implement :meth:`select_batch`.
+    #: Converted policies set True and implement :meth:`inc_best` and
+    #: :meth:`np_scores` (or override :meth:`select_batch` outright).
     supports_batch: bool = False
 
     #: Ready-queue columns the batch path reads (see
@@ -50,9 +60,10 @@ class Scheduler(abc.ABC):
     #: for several consecutive layer blocks without re-invoking selection.
     single_drain_safe: bool = False
 
-    #: Queue depth at which the batch path switches from a tight scalar
-    #: loop over the list mirrors to numpy over the array columns (numpy's
-    #: per-ufunc dispatch overhead dominates below this).
+    #: Queue depth at which an uncached ``select_batch`` switches from the
+    #: list kernel (:meth:`inc_best` over every row) to the numpy kernel
+    #: (:meth:`np_scores`); numpy's per-ufunc dispatch overhead dominates
+    #: below this.
     numpy_min_queue: int = 32
 
     #: True when ``select_single`` is exactly "return queue[0]" with no state
@@ -66,9 +77,9 @@ class Scheduler(abc.ABC):
     trace_bus = None
 
     #: Policies whose argmin can be maintained incrementally (see
-    #: :mod:`repro.sim.select_cache`) set True and implement
-    #: :meth:`inc_best` / :meth:`inc_full_scan` (+ :meth:`inc_guard` when
-    #: selection depends on per-select mutable state).
+    #: :mod:`repro.sim.select_cache`) set True (+ implement
+    #: :meth:`inc_guard` when selection depends on per-select mutable
+    #: state); the cache runs on the same two kernels.
     supports_incremental: bool = False
 
     #: Instance-level master switch for the incremental layer.  The
@@ -94,9 +105,9 @@ class Scheduler(abc.ABC):
     inc_journal_cap: int = 48
 
     #: Queue depth below which ``select_batch`` bypasses the selection cache
-    #: and scans directly: on a shallow queue the tight scalar loop is
-    #: cheaper than cache bookkeeping (same crossover as the numpy path).
-    #: Tests drop it to 0 to force the cache on tiny queues.
+    #: and scans directly: on a shallow queue the list kernel is cheaper
+    #: than cache bookkeeping (same crossover as the numpy path).  Tests
+    #: drop it to 0 to force the cache on tiny queues.
     inc_min_queue: int = 32
 
     def __init__(self, lut: ModelInfoLUT):
@@ -133,19 +144,31 @@ class Scheduler(abc.ABC):
 
     def inc_best(self, queue: "ReadyQueue", idxs: Sequence[int], now: float,
                  clear_at: float, journal: set) -> Tuple[int, float]:
-        """Exact-score the candidate rows ``idxs``; return (index, score) of
-        the native-tie-broken best (or ``(-1, inf)``).  Rows whose penalty-
-        free score anchor is >= ``clear_at`` may be dropped from
-        ``journal`` (they cannot win again this scan epoch)."""
+        """List kernel: exact-score the candidate rows ``idxs``; return
+        (index, primary score) of the native-tie-broken best (or
+        ``(-1, inf)``).  Rows whose penalty-free score anchor is >=
+        ``clear_at`` may be dropped from ``journal`` (they cannot win again
+        this scan epoch)."""
         raise SchedulingError(
             f"scheduler {self.name!r} does not implement inc_best"
         )
 
+    def np_scores(self, queue: "ReadyQueue", now: float):
+        """Numpy kernel over the whole queue: ``(score, tie_columns,
+        pen_scale)``, where ``tie_columns`` (ending in the rid column) break
+        ties in :func:`~repro.sim.ready_queue.np_lexmin` and ``pen_scale``
+        bounds the shrinkable penalty term for the selection cache (0 for
+        static keys)."""
+        raise SchedulingError(
+            f"scheduler {self.name!r} does not implement np_scores"
+        )
+
     def inc_full_scan(self, queue: "ReadyQueue", now: float, cache) -> Request:
         """Full numpy scan that also rebuilds ``cache`` (ladder + bound)."""
-        raise SchedulingError(
-            f"scheduler {self.name!r} does not implement inc_full_scan"
-        )
+        score, ties, pen_scale = self.np_scores(queue, now)
+        chosen = queue._requests[np_lexmin(score, *ties)]
+        cache.rebuild(score, now, pen_scale)
+        return chosen
 
     def select_single(self, queue: Sequence[Request], now: float) -> Request:
         """Fast path for a singleton queue (batch mode).
@@ -160,10 +183,17 @@ class Scheduler(abc.ABC):
         return self.select(queue, now)
 
     def select_batch(self, queue: "ReadyQueue", now: float) -> Request:
-        """Vectorized selection over the ready queue's columns."""
-        raise SchedulingError(
-            f"scheduler {self.name!r} does not implement select_batch"
-        )
+        """Vectorized selection over the ready queue's columns: the
+        selection cache on deep queues, else the numpy kernel from
+        ``numpy_min_queue`` rows, else the list kernel over every row."""
+        n = queue._n
+        cache = self._cache
+        if cache is not None and n >= self.inc_min_queue:
+            return cache.lookup(now)
+        if n >= self.numpy_min_queue:
+            score, ties, _ = self.np_scores(queue, now)
+            return queue._requests[np_lexmin(score, *ties)]
+        return queue._requests[self.inc_best(queue, range(n), now, INF, _NO_JOURNAL)[0]]
 
     def reset(self) -> None:
         """Clear any cross-run state; called by the engine before a run."""

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.schedulers.base import Scheduler, register_scheduler
-from repro.sim.ready_queue import ReadyQueue, np_lexmin
+from repro.core.lut import ModelInfoLUT
+from repro.schedulers.base import INF, Scheduler, register_scheduler
+from repro.sim.ready_queue import ReadyQueue
 from repro.sim.request import Request
 
 
@@ -18,6 +19,10 @@ class FCFSScheduler(Scheduler):
     single_drain_safe = True
     supports_incremental = True  # static key (arrival, rid): zero decay
 
+    def __init__(self, lut: ModelInfoLUT):
+        super().__init__(lut)
+        self.reset()
+
     def reset(self) -> None:
         self._current: Optional[Request] = None
 
@@ -26,7 +31,7 @@ class FCFSScheduler(Scheduler):
         arr_l = queue.ls_arrival
         rid_l = queue.ls_rid
         best = -1
-        b_arr = b_rid = float("inf")
+        b_arr = b_rid = INF
         for i in idxs:
             arr = arr_l[i]
             if arr > b_arr:
@@ -38,12 +43,9 @@ class FCFSScheduler(Scheduler):
                 best, b_arr, b_rid = i, arr, rid
         return best, b_arr
 
-    def inc_full_scan(self, queue: "ReadyQueue", now: float, cache) -> Request:
+    def np_scores(self, queue: "ReadyQueue", now: float):
         n = queue._n
-        arr = queue.np_arrival[:n]
-        chosen = queue[np_lexmin(arr, queue.np_rid[:n])]
-        cache.rebuild(arr, now)
-        return chosen
+        return queue.np_arrival[:n], (queue.np_rid[:n],), 0.0
 
     def select(self, queue: Sequence[Request], now: float) -> Request:
         if self._current is not None and not self._current.is_done and self._current in queue:
@@ -61,22 +63,5 @@ class FCFSScheduler(Scheduler):
         cur = self._current
         if cur is not None and not cur.is_done and cur in queue:
             return cur
-        cache = self._cache
-        n = len(queue)
-        if cache is not None and n >= self.inc_min_queue:
-            self._current = cache.lookup(now)
-            return self._current
-        if n >= self.numpy_min_queue:
-            best = np_lexmin(queue.np_arrival[:n], queue.np_rid[:n])
-        else:
-            arr_l = queue.ls_arrival
-            rid_l = queue.ls_rid
-            best = 0
-            b_arr = arr_l[0]
-            b_rid = rid_l[0]
-            for i in range(1, n):
-                arr = arr_l[i]
-                if arr < b_arr or (arr == b_arr and rid_l[i] < b_rid):
-                    best, b_arr, b_rid = i, arr, rid_l[i]
-        self._current = queue[best]
+        self._current = Scheduler.select_batch(self, queue, now)
         return self._current

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.lut import ModelInfoLUT
-from repro.schedulers.base import Scheduler, register_scheduler
-from repro.sim.ready_queue import ReadyQueue, np_lexmin
+from repro.schedulers.base import INF, Scheduler, register_scheduler
+from repro.sim.ready_queue import ReadyQueue
 from repro.sim.request import Request
 
 
@@ -71,7 +71,7 @@ class OracleScheduler(Scheduler):
         rid_l = queue.ls_rid
         n = queue._n
         best = -1
-        b_score = b_rid = float("inf")
+        b_score = b_rid = INF
         for i in idxs:
             iso = iso_l[i]
             if iso < 1e-12:
@@ -89,7 +89,7 @@ class OracleScheduler(Scheduler):
                 journal.discard(rid)
         return best, b_score
 
-    def inc_full_scan(self, queue: "ReadyQueue", now: float, cache) -> Request:
+    def np_scores(self, queue: "ReadyQueue", now: float):
         n = queue._n
         eta = self.eta
         rem = queue.np_true_remaining[:n]
@@ -97,46 +97,6 @@ class OracleScheduler(Scheduler):
         slack = np.maximum(queue.np_deadline[:n] - now - rem, -iso)
         penalty = ((now - queue.np_last_run_end[:n]) / iso) / n
         score = rem + eta * (slack + penalty)
-        chosen = queue[np_lexmin(score, queue.np_rid[:n])]
         pen_max = float(penalty.max())
-        cache.rebuild(score, now,
-                      pen_scale=eta * pen_max if pen_max > 0.0 else 0.0)
-        return chosen
-
-    def select_batch(self, queue: "ReadyQueue", now: float) -> Request:
-        cache = self._cache
-        n = queue._n
-        if cache is not None and n >= self.inc_min_queue:
-            return cache.lookup(now)
-        eta = self.eta
-        if n >= self.numpy_min_queue:
-            rem = queue.np_true_remaining[:n]
-            iso = np.maximum(queue.np_true_isolated[:n], 1e-12)
-            slack = np.maximum(queue.np_deadline[:n] - now - rem, -iso)
-            penalty = ((now - queue.np_last_run_end[:n]) / iso) / n
-            score = rem + eta * (slack + penalty)
-            return queue[np_lexmin(score, queue.np_rid[:n])]
-        rem_l = queue.ls_true_remaining
-        iso_l = queue.ls_true_isolated
-        dl_l = queue.ls_deadline
-        lre_l = queue.ls_last_run_end
-        rid_l = queue.ls_rid
-        best = 0
-        best_score = None
-        best_rid = 0
-        for i in range(n):
-            iso = iso_l[i]
-            if iso < 1e-12:
-                iso = 1e-12
-            rem = rem_l[i]
-            slack = dl_l[i] - now - rem
-            neg_iso = -iso
-            if slack < neg_iso:
-                slack = neg_iso
-            score = rem + eta * (slack + ((now - lre_l[i]) / iso) / n)
-            rid = rid_l[i]
-            if best_score is None or score < best_score or (
-                score == best_score and rid < best_rid
-            ):
-                best, best_score, best_rid = i, score, rid
-        return queue._requests[best]
+        return (score, (queue.np_rid[:n],),
+                eta * pen_max if pen_max > 0.0 else 0.0)

@@ -51,6 +51,7 @@ class PREMAScheduler(Scheduler):
         super().__init__(lut)
         self.threshold = threshold
         self.priority = priority
+        self.reset()
 
     def reset(self) -> None:
         self._tokens: Dict[int, float] = {}

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from repro.schedulers.base import Scheduler, register_scheduler
-from repro.sim.ready_queue import ReadyQueue, np_lexmin
+from repro.schedulers.base import INF, Scheduler, register_scheduler
+from repro.sim.ready_queue import ReadyQueue
 from repro.sim.request import Request
 
 
@@ -46,7 +46,7 @@ class SJFScheduler(Scheduler):
         arr_l = queue.ls_arrival
         rid_l = queue.ls_rid
         best = -1
-        b_rem = b_arr = b_rid = float("inf")
+        b_rem = b_arr = b_rid = INF
         for i in idxs:
             rem = rem_l[i]
             if rem > b_rem:
@@ -59,39 +59,7 @@ class SJFScheduler(Scheduler):
                 best, b_rem, b_arr, b_rid = i, rem, arr, rid
         return best, b_rem
 
-    def inc_full_scan(self, queue: "ReadyQueue", now: float, cache) -> Request:
+    def np_scores(self, queue: "ReadyQueue", now: float):
         n = queue._n
-        rem = queue.np_est_remaining[:n]
-        chosen = queue[np_lexmin(rem, queue.np_arrival[:n], queue.np_rid[:n])]
-        cache.rebuild(rem, now)
-        return chosen
-
-    def select_batch(self, queue: "ReadyQueue", now: float) -> Request:
-        cache = self._cache
-        n = queue._n
-        if cache is not None and n >= self.inc_min_queue:
-            return cache.lookup(now)
-        if n >= self.numpy_min_queue:
-            return queue[np_lexmin(
-                queue.np_est_remaining[:n],
-                queue.np_arrival[:n],
-                queue.np_rid[:n],
-            )]
-        rem_l = queue.ls_est_remaining
-        arr_l = queue.ls_arrival
-        rid_l = queue.ls_rid
-        best = 0
-        b_rem = rem_l[0]
-        b_arr = arr_l[0]
-        b_rid = rid_l[0]
-        for i in range(1, n):
-            rem = rem_l[i]
-            if rem > b_rem:
-                continue
-            if rem < b_rem:
-                best, b_rem, b_arr, b_rid = i, rem, arr_l[i], rid_l[i]
-                continue
-            arr = arr_l[i]
-            if arr < b_arr or (arr == b_arr and rid_l[i] < b_rid):
-                best, b_arr, b_rid = i, arr, rid_l[i]
-        return queue._requests[best]
+        return (queue.np_est_remaining[:n],
+                (queue.np_arrival[:n], queue.np_rid[:n]), 0.0)

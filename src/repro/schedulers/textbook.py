@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
+from repro.core.lut import ModelInfoLUT
 from repro.schedulers.base import Scheduler, register_scheduler
 from repro.sim.request import Request
 
@@ -21,6 +22,10 @@ class RoundRobinScheduler(Scheduler):
     Fair by construction and estimate-free; under load it behaves like
     processor sharing, inflating everyone's turnaround equally.
     """
+
+    def __init__(self, lut: ModelInfoLUT):
+        super().__init__(lut)
+        self.reset()
 
     def reset(self) -> None:
         self._last_served: Dict[int, float] = {}

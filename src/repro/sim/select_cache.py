@@ -49,9 +49,11 @@ requests that is ~4.25M full-queue scans over queues thousands deep, and
   again it re-journals itself; otherwise steady-state lookups cost the
   ladder plus only the rows dirtied since the *previous* select.
 
-Policies opt in via ``Scheduler.supports_incremental`` and implement
-``inc_best`` / ``inc_full_scan`` / ``inc_guard`` (see
-:mod:`repro.schedulers.base`); ``scheduler.incremental = False`` force-
+Policies opt in via ``Scheduler.supports_incremental``; lookups run the
+policy's list kernel ``inc_best`` and full scans its numpy kernel
+``np_scores`` (through ``Scheduler.inc_full_scan``), plus ``inc_guard``
+where selection depends on per-select state (see
+:mod:`repro.schedulers.base`).  ``scheduler.incremental = False`` force-
 disables the layer (used by the randomized lockstep parity tests and the
 A/B benches).
 """
@@ -139,11 +141,11 @@ class SelectionCache:
     def rebuild(self, primary: np.ndarray, now: float, pen_scale: float = 0.0) -> None:
         """Refresh ladder/bound from a full scan's primary-score array.
 
-        Called by the policy's ``inc_full_scan`` with the length-n per-row
-        primary scores it just computed (the exact values the winner was
-        picked from, so the bound is in the policy's own float arithmetic)
-        and, for penalty-bearing scores, the scan-time maximum of the
-        shrinkable penalty term.
+        Called by ``Scheduler.inc_full_scan`` with the length-n per-row
+        primary scores of the policy's ``np_scores`` (the exact values the
+        winner was picked from, so the bound is in the policy's own float
+        arithmetic) and, for penalty-bearing scores, the scan-time maximum
+        of the shrinkable penalty term.
         """
         queue = self.queue
         n = queue._n

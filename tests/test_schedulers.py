@@ -44,6 +44,14 @@ class TestRegistry:
         assert make_scheduler("dysta", toy_lut).name == "dysta"
         assert make_scheduler("dysta_nosparse", toy_lut).name == "dysta_nosparse"
 
+    @pytest.mark.parametrize("name", available_schedulers())
+    def test_fresh_instance_selects_before_reset(self, toy_lut, name):
+        # Per-run state is created in __init__, so a policy can decide
+        # before any engine has called reset().
+        sched = make_scheduler(name, toy_lut)
+        queue = [long_req(rid=1, arrival=0.0), short_req(rid=2, arrival=0.5)]
+        assert sched.select(queue, now=1.0) in queue
+
 
 class TestFCFS:
     def test_picks_earliest_arrival(self, toy_lut):
