@@ -17,7 +17,6 @@ acceptance contract from both ends:
 asserted grid is identical in CI and at full scale.
 """
 
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -29,6 +28,7 @@ from repro.profiling.profiler import benchmark_suite
 from repro.scenarios import SweepConfig, build_scenario, generate_scenario, run_sweep
 from repro.schedulers.base import make_scheduler
 from repro.sim.engine import simulate
+from repro.warehouse import Warehouse
 
 from _config import N_PROFILE, once
 
@@ -122,19 +122,20 @@ def bench_ext_energy_sweep_determinism(benchmark):
             seeds=(0,), family="attnn", base_rate=BASE_RATE,
             duration=4.0, n_profile_samples=40, energy=True,
         )
+        stores = []
         with tempfile.TemporaryDirectory() as tmp:
-            serial = Path(tmp) / "serial.json"
-            parallel = Path(tmp) / "parallel.json"
-            run_sweep(config, out_path=serial, workers=1)
-            run_sweep(config, out_path=parallel, workers=2)
-            return serial.read_bytes(), parallel.read_bytes()
+            for workers in (1, 2):
+                root = Path(tmp) / f"w{workers}"
+                run_sweep(config, out_path=root, workers=workers)
+                with Warehouse.open(root) as wh:
+                    stores.append((wh.fingerprint(), wh.read_cells()))
+        return stores
 
-    serial_bytes, parallel_bytes = once(benchmark, run)
-    assert serial_bytes == parallel_bytes
-    cells = json.loads(serial_bytes)["cells"]
+    (fingerprint, cells), parallel = once(benchmark, run)
+    assert (fingerprint, cells) == parallel
     assert cells, "sweep produced no cells"
     for cell in cells.values():
         for key in ("energy_per_request", "total_joules", "edp"):
             assert cell[key] > 0, key
     print(f"\nsweep determinism OK: {len(cells)} energy cells, "
-          f"{len(serial_bytes)} bytes, identical for 1 and 2 workers")
+          f"{len(fingerprint)} warehouse files, identical for 1 and 2 workers")

@@ -112,11 +112,11 @@ def sweep_demo(tmp: Path) -> None:
         duration=8.0,
         n_profile_samples=40,
     )
-    store_path = tmp / "scenario_results.json"
+    store_path = tmp / "scenario_results"
     first = run_sweep(config, out_path=store_path, workers=2)
     again = run_sweep(config, out_path=store_path, workers=2)
     print(f"sweep: {first.n_run} cells run, then re-run skipped "
-          f"{again.n_skipped}/{len(config.cells())} (store: JSON, "
+          f"{again.n_skipped}/{len(config.cells())} (store: warehouse, "
           f"bit-identical for any worker count)")
     print(render_table(
         "sweep means across seeds",

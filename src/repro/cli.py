@@ -630,17 +630,18 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
 def _cmd_regress(args: argparse.Namespace) -> int:
     """Gate sweep quality metrics against a committed baseline."""
     from repro.warehouse import (
+        Warehouse,
         build_baseline,
         compare,
         format_rows,
         load_baseline,
-        load_store_cells,
         regressions,
         write_baseline,
     )
 
-    workload, cells = load_store_cells(args.store)
-    current = build_baseline(workload, cells.values())
+    with Warehouse.open(args.store) as wh:
+        cells = wh.read_cells()
+        current = build_baseline(wh.workload, cells.values())
 
     if args.write_baseline:
         path = write_baseline(args.write_baseline, current)
@@ -1229,11 +1230,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=max(1, min(4, os.cpu_count() or 1)),
                         help="worker processes (results identical for any count)")
     p_scen.add_argument("--out", default="scenario_results",
-                        help="results store: a warehouse directory (columnar "
-                             "segments, O(1) appends, crash recovery), or a "
-                             "legacy monolithic JSON store when the path "
-                             "ends in .json; completed cells are skipped "
-                             "on re-runs")
+                        help="results warehouse directory (columnar "
+                             "segments, O(1) appends, crash recovery); "
+                             "completed cells are skipped on re-runs")
     p_scen.add_argument("--force", action="store_true",
                         help="discard an existing results store")
     p_scen.add_argument("--list", action="store_true",
@@ -1278,9 +1277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     w_import = wh_sub.add_parser(
         "import",
-        help="import a legacy run_sweep JSON store into a warehouse",
+        help="import a JSON sweep store (the pre-warehouse format) into "
+             "a warehouse",
     )
-    w_import.add_argument("store", help="legacy JSON results file")
+    w_import.add_argument("store", help="JSON sweep store file")
     w_import.add_argument("--out", required=True,
                           help="warehouse directory to create or resume")
     w_import.add_argument("--segment-rows", type=int, default=256,
@@ -1330,8 +1330,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare a sweep store against a committed baseline on req/s, "
              "EDP, violation and shed rates; exit nonzero on regression",
     )
-    p_regress.add_argument("store",
-                           help="warehouse directory or legacy sweep JSON")
+    p_regress.add_argument("store", help="warehouse directory")
     p_regress.add_argument("--baseline",
                            default="benchmarks/sweep_baseline.json",
                            help="committed baseline file to gate against")

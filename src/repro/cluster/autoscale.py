@@ -24,7 +24,7 @@ capacity over the run, warm-up and drain included — what the bill says)
 vs ``used`` (busy time — what the work needed).  :func:`cost_summary`
 folds both plus the scale-event and shed-under-lag counts into the metric
 dictionaries of :class:`~repro.cluster.engine.ClusterResult`, the streaming
-metrics path, and the scenario sweep runner's per-cell JSON.
+metrics path, and the scenario sweep runner's per-cell columns.
 """
 
 from __future__ import annotations

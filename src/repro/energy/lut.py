@@ -138,9 +138,6 @@ class EnergyLUT:
             tables[key] = em.layer_table(graph, weights)
         return cls(lut, tables, nominal_power_w=nominal_power_w)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
     @property
     def keys(self) -> Tuple[str, ...]:
         return tuple(sorted(self._entries))
@@ -155,13 +152,6 @@ class EnergyLUT:
             return self._entries[key]
         except KeyError:
             raise SchedulingError(f"no energy LUT entry for {key!r}") from None
-
-    def entry_or_none(self, key: str) -> Optional[EnergyEntry]:
-        return self._entries.get(key)
-
-    def avg_total_energy(self, key: str) -> float:
-        """Average joules of one isolated inference of the pair."""
-        return self.entry(key).avg_total_energy
 
     def avg_power(self, key: str) -> float:
         """Average draw (W) of one isolated inference of the pair."""

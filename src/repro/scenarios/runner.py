@@ -6,23 +6,19 @@ from (scenario, seed) — never from the scheduler — so competing policies
 see bit-identical request streams, and never from the process that happens
 to run it — so the results store is identical whatever ``workers`` is.
 
-Cells are keyed ``scenario/scheduler/seed<N>`` in the store; re-running a
-sweep against an existing store skips completed cells (crash-safe,
-incremental grids: add a scheduler or seed and only the new cells run).
-The store refuses to mix grids generated under different workload
-configurations.
-
-Results land in a :class:`~repro.warehouse.store.Warehouse` directory by
-default — appends are O(1) per cell and every byte is deterministic, so
-interrupted sweeps resume to the exact store an uninterrupted run would
-have produced, for any worker count.  An ``out_path`` with a ``.json``
-suffix selects the legacy monolithic JSON store instead (kept for
-compatibility; it rewrites the whole file per cell, which is O(cells²)
-I/O over a sweep).  Alongside the deterministic results, warehouse sweeps
-record per-cell *cost* rows (wall-clock seconds, peak worker RSS) in the
-store's non-deterministic sidecar, and an optional
+Results land in a :class:`~repro.warehouse.store.Warehouse` directory,
+keyed ``scenario/scheduler/seed<N>``.  Re-running a sweep against an
+existing store skips completed cells (crash-safe, incremental grids: add a
+scheduler or seed and only the new cells run), and the store refuses to
+mix grids generated under different workload configurations.  Appends are
+O(1) per cell and every byte is deterministic, so interrupted sweeps
+resume to the exact store an uninterrupted run would have produced, for
+any worker count.  Alongside the deterministic results, sweeps record
+per-cell *cost* rows (wall-clock seconds, peak worker RSS) in the store's
+non-deterministic sidecar, and an optional
 :class:`~repro.warehouse.telemetry.SweepTelemetry` publishes live
-throughput / ETA / failure metrics while the grid runs.
+throughput / ETA / failure metrics while the grid runs.  Result files
+from the retired JSON store convert with ``repro warehouse import``.
 
 Cells run on the single-NPU engine by default; ``engine="cluster"`` runs
 each cell through :func:`repro.cluster.engine.simulate_cluster` instead —
@@ -30,7 +26,7 @@ one elastic pool of ``pool_size`` accelerators, optionally autoscaled
 (``autoscale="reactive" | "target-utilization" | "predictive"``) and
 depth-limited (``max_queue_depth``) — and records the autoscaler's cost
 metrics (accelerator-seconds provisioned vs used, scale events, sheds
-under scale lag) in the per-cell JSON.  ``energy=True`` additionally
+under scale lag) in every cell.  ``energy=True`` additionally
 records energy columns (joules/request, EDP, and the joule-denominated
 capacity cost on cluster cells) via a per-cell
 :class:`~repro.energy.accounting.EnergyAccountant`.  All cells keep the
@@ -40,7 +36,6 @@ count.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
@@ -48,7 +43,7 @@ import zlib
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +88,7 @@ _DEFAULT_BASE_RATE = {"attnn": 20.0, "cnn": 2.5}
 class SweepConfig:
     """The full specification of one sweep grid.
 
-    Everything that affects a cell's numbers lives here.  The JSON store
+    Everything that affects a cell's numbers lives here.  The warehouse
     records the workload parameters verbatim and refuses to resume under
     different ones; the grid axes (scenarios, schedulers, seeds) may grow
     across runs — only the missing cells execute.
@@ -414,44 +409,6 @@ def _run_cell_costed(args: Tuple) -> Tuple[int, str, Optional[Dict], Dict, Optio
     return index, key, cell, cost, error
 
 
-def _load_store(path: Path, workload_dict: Dict, force: bool) -> Dict:
-    if force or not path.exists():
-        return {"workload": workload_dict, "cells": {}}
-    try:
-        store = json.loads(path.read_text())
-    except ValueError as exc:
-        raise SchedulingError(f"{path}: corrupt sweep store ({exc})") from None
-    if not isinstance(store, dict):
-        raise SchedulingError(
-            f"{path}: corrupt sweep store (expected a JSON object, "
-            f"got {type(store).__name__})"
-        )
-    if isinstance(store.get("workload"), dict):
-        # Stores written before the energy columns existed resume as
-        # energy-free sweeps (the default), not as mismatches; likewise
-        # pre-telemetry stores resume without time-series columns.
-        store["workload"].setdefault("energy", False)
-        store["workload"].setdefault("telemetry_interval", None)
-        store["workload"].setdefault("alerts", False)
-        store["workload"].setdefault("faults", None)
-    if store.get("workload") != workload_dict:
-        raise SchedulingError(
-            f"{path} holds a sweep under different workload parameters "
-            f"({store.get('workload')} vs {workload_dict}); choose another "
-            f"output path or pass force to overwrite it"
-        )
-    store.setdefault("cells", {})
-    return store
-
-
-def _write_store(path: Path, store: Dict) -> None:
-    """Atomic, canonically-ordered write: same cells => same bytes."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(store, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
 def run_sweep(
     config: SweepConfig,
     *,
@@ -464,13 +421,11 @@ def run_sweep(
     """Run (or resume) the sweep grid, optionally in parallel.
 
     Args:
-        out_path: Results store.  A path ending in ``.json`` is the legacy
-            monolithic JSON store; anything else is a
-            :class:`~repro.warehouse.store.Warehouse` directory (O(1)
-            appends, crash recovery, per-cell cost sidecar).  When the
-            store already exists with the same configuration, completed
-            cells are skipped and only the missing ones run, so an
-            interrupted sweep resumes where it stopped.  ``None`` keeps
+        out_path: :class:`~repro.warehouse.store.Warehouse` directory
+            (O(1) appends, crash recovery, per-cell cost sidecar).  When
+            the store already exists with the same configuration,
+            completed cells are skipped and only the missing ones run, so
+            an interrupted sweep resumes where it stopped.  ``None`` keeps
             the results in memory only.
         workers: Worker processes; <= 1 runs inline (no multiprocessing).
             Results are bit-identical for every worker count.
@@ -487,28 +442,22 @@ def run_sweep(
     # come from one consistent workload configuration.  base_rate is
     # recorded resolved (config.rate), so an explicit rate equal to the
     # family default matches a store created with the default, and a
-    # default-table change can never silently mix rates.  Round-trip
-    # through JSON so tuples compare equal to the lists an existing store
-    # holds.
-    workload_params = {
+    # default-table change can never silently mix rates.
+    workload = {
         key: value for key, value in asdict(config).items()
         if key not in ("scenarios", "schedulers", "seeds")
     }
-    workload_params["base_rate"] = config.rate
-    workload_dict = json.loads(json.dumps(workload_params))
+    workload["base_rate"] = config.rate
     out = Path(out_path) if out_path is not None else None
 
     wh = None
-    if out is not None and out.suffix != ".json":
+    completed: FrozenSet[str] = frozenset()
+    if out is not None:
         from repro.warehouse.store import Warehouse
 
-        wh = Warehouse.open_or_create(out, workload_dict, force=force)
-        store = {"workload": wh.workload, "cells": {}}
+        wh = Warehouse.open_or_create(out, workload, force=force)
         completed = wh.completed_keys()
-    else:
-        store = (_load_store(out, workload_dict, force) if out is not None
-                 else {"workload": workload_dict, "cells": {}})
-        completed = frozenset(store["cells"])
+    store = {"workload": workload, "cells": {}}
 
     grid = config.cells()
     todo = [c for c in grid if cell_key(*c) not in completed]
@@ -524,8 +473,6 @@ def run_sweep(
         if wh is not None:
             wh.append(key, cell)
             wh.record_cost(key, **cost)
-        elif out is not None:
-            _write_store(out, store)
         if telemetry is not None:
             telemetry.on_cell(key, worker=cost.get("worker"),
                               wall_s=cost.get("wall_s"),
@@ -593,9 +540,6 @@ def run_sweep(
             f"sweep cell {key} failed: {error} (completed cells up to the "
             f"failure are stored; re-run to resume)"
         )
-
-    if wh is None and out is not None and (todo or not out.exists()):
-        _write_store(out, store)
     return SweepResult(store=store, n_run=len(todo), n_skipped=n_skipped,
                        out_path=out)
 

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.errors import SchedulingError
 from repro.obs import Observability
 from repro.obs.bus import ENGINE_LANE
-from repro.sim.engine import SimResult
+from repro.sim.engine import SimResult, _validate
 from repro.sim.request import Request
 
 if TYPE_CHECKING:  # avoid a runtime circular import with repro.schedulers
@@ -69,17 +69,9 @@ def simulate_multi(
             spans carry the accelerator id, so the Chrome-trace export
             shows one lane per NPU.  Passive, like ``energy``.
     """
-    if not requests:
-        raise SchedulingError("cannot simulate an empty workload")
+    _validate(requests, switch_cost, block_size)
     if num_accelerators <= 0:
         raise SchedulingError(f"need >= 1 accelerator, got {num_accelerators}")
-    if switch_cost < 0:
-        raise SchedulingError(f"switch cost must be >= 0, got {switch_cost}")
-    if block_size < 1:
-        raise SchedulingError(f"block size must be >= 1, got {block_size}")
-    for req in requests:
-        if req.next_layer != 0 or req.finish_time is not None:
-            raise SchedulingError(f"request {req.rid} was already (partially) executed")
 
     # Imported here: repro.cluster builds on repro.sim.
     from repro.cluster.engine import simulate_cluster

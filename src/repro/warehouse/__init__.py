@@ -1,7 +1,8 @@
 """Columnar sweep warehouse: fleet-scale result storage and analytics.
 
-Replaces the monolithic rewrite-the-whole-JSON sweep store with an
-append-only columnar format built for 10k-cell grids:
+The only sweep result store: an append-only columnar format built for
+10k-cell grids (result files of the retired JSON store convert with
+:func:`~repro.warehouse.store.import_legacy_json`):
 
 * **Store** (:mod:`repro.warehouse.store`): numpy-backed column segments
   under a checksummed manifest plus a CRC-framed journal tail — cell
@@ -34,7 +35,6 @@ from repro.warehouse.regress import (
     format_rows,
     group_stats,
     load_baseline,
-    load_store_cells,
     regressions,
     write_baseline,
 )
@@ -48,13 +48,11 @@ from repro.warehouse.store import (
     decode_segment,
     encode_segment,
     import_legacy_json,
-    is_warehouse,
 )
 from repro.warehouse.telemetry import SweepTelemetry
 
 __all__ = [
     "Warehouse",
-    "is_warehouse",
     "import_legacy_json",
     "encode_segment",
     "decode_segment",
@@ -76,6 +74,5 @@ __all__ = [
     "compare",
     "regressions",
     "format_rows",
-    "load_store_cells",
     "SweepTelemetry",
 ]

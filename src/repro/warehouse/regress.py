@@ -188,21 +188,3 @@ def format_rows(rows: List[Dict]) -> List[str]:
         )
     return out
 
-
-def load_store_cells(path: Union[str, Path]
-                     ) -> Tuple[Dict, Dict[str, Dict]]:
-    """``(workload, cells)`` from a warehouse dir *or* a legacy JSON store."""
-    from repro.warehouse.store import MANIFEST_NAME, Warehouse
-
-    path = Path(path)
-    if path.is_dir() or (path / MANIFEST_NAME).exists():
-        with Warehouse.open(path) as wh:
-            return wh.workload, wh.read_cells()
-    try:
-        store = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise WarehouseError(f"{path}: unreadable sweep store ({exc})") from None
-    if not isinstance(store, dict) or not isinstance(store.get("cells"), dict):
-        raise WarehouseError(f"{path}: neither a warehouse directory nor a "
-                             f"legacy sweep-store JSON")
-    return store.get("workload", {}), store["cells"]

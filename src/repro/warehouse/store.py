@@ -11,8 +11,7 @@ A :class:`Warehouse` is a directory holding one sweep grid's results:
   ``float64``/``int64`` buffers decoded straight into numpy; everything
   else (names, nested telemetry tables, alert lists) is a JSON column.
 * ``journal.jsonl`` — the mutable tail: one CRC-framed JSON line per
-  appended cell.  Appending is O(1) — the fix for the legacy store's
-  rewrite-everything-per-cell behaviour — and when the tail reaches
+  appended cell.  Appending is O(1), and when the tail reaches
   ``segment_rows`` rows it seals into the next segment and the journal
   truncates.
 * ``costs.jsonl`` — non-deterministic sidecar (per-cell wall-clock, peak
@@ -92,6 +91,15 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def segment_name(index: int) -> str:
     return f"seg-{index:05d}.seg"
+
+
+def _require_dir(root: Path) -> None:
+    """Refuse a warehouse root that exists but is not a directory."""
+    if root.exists() and not root.is_dir():
+        raise WarehouseError(
+            f"{root} is a file, not a warehouse directory; a JSON sweep "
+            f"store converts with `repro warehouse import {root} --out DIR`"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +282,7 @@ class Warehouse:
                segment_rows: int = DEFAULT_SEGMENT_ROWS,
                force: bool = False) -> "Warehouse":
         root = Path(root)
+        _require_dir(root)
         if (root / MANIFEST_NAME).exists() and not force:
             raise WarehouseError(f"{root} already holds a warehouse")
         if segment_rows < 1:
@@ -281,7 +290,7 @@ class Warehouse:
         if force and root.exists():
             if (root / MANIFEST_NAME).exists():
                 shutil.rmtree(root)
-            elif not root.is_dir() or any(root.iterdir()):
+            elif any(root.iterdir()):
                 raise WarehouseError(
                     f"{root} exists but is not a warehouse; refusing to "
                     f"overwrite it — delete it manually if that is really "
@@ -303,6 +312,7 @@ class Warehouse:
     def open(cls, root: Union[str, Path]) -> "Warehouse":
         """Open an existing warehouse, healing any interrupted-write state."""
         root = Path(root)
+        _require_dir(root)
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.exists():
             raise WarehouseError(f"{root} is not a warehouse (no {MANIFEST_NAME})")
@@ -398,9 +408,8 @@ class Warehouse:
                        force: bool = False) -> "Warehouse":
         """Open (validating the workload) or create the warehouse at ``root``.
 
-        Mirrors the legacy JSON store's resume discipline: an existing
-        warehouse under *different* workload parameters is refused rather
-        than silently mixed.
+        An existing warehouse under *different* workload parameters is
+        refused rather than silently mixed.
         """
         root = Path(root)
         if force or not (root / MANIFEST_NAME).exists():
@@ -660,28 +669,23 @@ class Warehouse:
         return out
 
 
-def is_warehouse(path: Union[str, Path]) -> bool:
-    """Whether ``path`` is (or names) a warehouse directory.
-
-    True for an existing warehouse (manifest present) and for any path
-    without a ``.json`` suffix, which the sweep runner treats as a
-    warehouse to be created.
-    """
-    path = Path(path)
-    if (path / MANIFEST_NAME).exists():
-        return True
-    return path.suffix != ".json"
+#: Workload keys added after the JSON sweep store shipped, with the value
+#: that store implied; older files are back-filled on import.
+_LEGACY_WORKLOAD_DEFAULTS = {"energy": False, "telemetry_interval": None,
+                             "alerts": False, "faults": None}
 
 
 def import_legacy_json(json_path: Union[str, Path],
                        root: Union[str, Path], *,
                        segment_rows: int = DEFAULT_SEGMENT_ROWS,
                        force: bool = False) -> Warehouse:
-    """Import a legacy ``run_sweep`` JSON store into a warehouse.
+    """Import a JSON sweep store into a warehouse.
 
-    The read shim for pre-warehouse result files: cells land in the legacy
-    file's (sorted-key) order, after which ``run_sweep`` resumes against
-    the warehouse exactly as it would have against the JSON.
+    The only way in for result files of the retired JSON store: cells land
+    in the file's (sorted-key) order, and workload keys the file predates
+    are back-filled, so ``run_sweep`` resumes against the warehouse
+    exactly as it did against the JSON.  The file is checked in full
+    before the warehouse is created.
     """
     json_path = Path(json_path)
     try:
@@ -693,9 +697,16 @@ def import_legacy_json(json_path: Union[str, Path],
     workload = store.get("workload")
     if not isinstance(workload, dict):
         raise WarehouseError(f"{json_path}: not a sweep store (no workload)")
-    wh = Warehouse.open_or_create(root, workload, segment_rows=segment_rows,
-                                  force=force)
-    for key in sorted(store["cells"]):
+    cells = store["cells"]
+    for key, cell in cells.items():
+        if not isinstance(cell, dict):
+            raise WarehouseError(
+                f"{json_path}: cell {key!r} is not an object "
+                f"(got {type(cell).__name__})"
+            )
+    wh = Warehouse.open_or_create(root, {**_LEGACY_WORKLOAD_DEFAULTS, **workload},
+                                  segment_rows=segment_rows, force=force)
+    for key in sorted(cells):
         if key not in wh:
-            wh.append(key, store["cells"][key])
+            wh.append(key, cells[key])
     return wh

@@ -5,12 +5,40 @@ two-model "zoo" with controlled latencies makes scheduler behaviour exactly
 predictable.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.lut import ModelInfoLUT
 from repro.profiling.trace import TraceSet
 from repro.sim.request import Request
+from repro.warehouse import COSTS_NAME, MANIFEST_NAME
+
+#: A sweep store written by the retired JSON writer before the ``energy``,
+#: ``telemetry_interval``, ``alerts`` and ``faults`` workload keys existed:
+#: one ``steady/sjf/seed0`` cell of :data:`LEGACY_SWEEP`.
+LEGACY_STORE = Path(__file__).parent / "fixtures" / "legacy_sweep_store_pre_energy.json"
+#: ``SweepConfig`` arguments of the grid in :data:`LEGACY_STORE`.
+LEGACY_SWEEP = dict(scenarios=("steady",), schedulers=("sjf",), seeds=(0,),
+                    duration=3.0, n_profile_samples=10)
+
+
+def warehouse_files(root):
+    """``{relative path: bytes}`` of every warehouse file but the cost sidecar.
+
+    The in-process twin of ``diff -r --exclude=costs.jsonl``: two sweeps
+    of one grid must agree on every deterministic byte, not just on the
+    checksums :meth:`~repro.warehouse.Warehouse.fingerprint` reports.
+    """
+    root = Path(root)
+    files = {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != COSTS_NAME
+    }
+    assert MANIFEST_NAME in files, f"{root} is not a warehouse"
+    return files
 
 
 def build_trace(model_name, pattern, latencies, sparsities, dataset="unit"):

@@ -33,7 +33,7 @@ from repro.sim.multi import simulate_multi
 from repro.sim.workload import WorkloadSpec, generate_workload, request_from_trace
 from repro.sparsity.patterns import DENSE, SparsityPattern, WeightSparsityConfig
 
-from conftest import make_request
+from conftest import LEGACY_STORE, LEGACY_SWEEP, make_request, warehouse_files
 
 
 @pytest.fixture(scope="module")
@@ -479,30 +479,23 @@ class TestSweepEnergyColumns:
             seeds=(0,), family="attnn", duration=3.0,
             n_profile_samples=20, energy=True,
         )
-        serial = run_sweep(config, out_path=tmp_path / "serial.json")
-        parallel = run_sweep(config, out_path=tmp_path / "parallel.json",
-                             workers=2)
-        assert (tmp_path / "serial.json").read_bytes() == \
-               (tmp_path / "parallel.json").read_bytes()
+        serial = run_sweep(config, out_path=tmp_path / "serial")
+        run_sweep(config, out_path=tmp_path / "parallel", workers=2)
+        assert warehouse_files(tmp_path / "serial") == \
+               warehouse_files(tmp_path / "parallel")
         for cell in serial.cells.values():
             for key in ENERGY_KEYS:
                 assert cell[key] > 0
 
     def test_pre_energy_store_still_resumes(self, tmp_path):
-        """Stores written before the energy column existed resume as
-        energy-free sweeps instead of being rejected as mismatches."""
-        import json
-
+        """Stores written before the energy column existed import and
+        resume as energy-free sweeps instead of being rejected as
+        mismatches."""
         from repro.scenarios import SweepConfig, run_sweep
+        from repro.warehouse import import_legacy_json
 
-        config = SweepConfig(
-            scenarios=("steady",), schedulers=("sjf",), seeds=(0,),
-            family="attnn", duration=3.0, n_profile_samples=20,
-        )
-        path = tmp_path / "legacy.json"
-        run_sweep(config, out_path=path)
-        store = json.loads(path.read_text())
-        del store["workload"]["energy"]  # what a PR-4-era store looks like
-        path.write_text(json.dumps(store, indent=2, sort_keys=True) + "\n")
-        resumed = run_sweep(config, out_path=path)
+        config = SweepConfig(**LEGACY_SWEEP)
+        assert not config.energy
+        import_legacy_json(LEGACY_STORE, tmp_path / "wh").close()
+        resumed = run_sweep(config, out_path=tmp_path / "wh")
         assert resumed.n_run == 0 and resumed.n_skipped == 1

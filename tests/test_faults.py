@@ -37,6 +37,7 @@ from repro.obs import KIND_FAULT, KIND_RECOVER, Observability, RequestLedger
 from repro.schedulers.base import make_scheduler
 from repro.sim.workload import generate_workload
 
+from conftest import warehouse_files
 from test_obs import fingerprint, toy_world
 
 
@@ -367,7 +368,7 @@ class TestSweepFaults:
             duration=4.0, n_profile_samples=30, engine="cluster",
             faults="outages",
         )
-        result = run_sweep(config, out_path=tmp_path / "s.json")
+        result = run_sweep(config, out_path=tmp_path / "s")
         cell = result.cells["steady/sjf/seed0"]
         for key in FAULT_KEYS:
             assert key in cell
@@ -381,10 +382,9 @@ class TestSweepFaults:
             duration=4.0, n_profile_samples=30, engine="cluster",
             faults="chaos",
         )
-        serial = run_sweep(config, out_path=tmp_path / "a.json", workers=1)
-        fanned = run_sweep(config, out_path=tmp_path / "b.json", workers=2)
-        assert ((tmp_path / "a.json").read_bytes()
-                == (tmp_path / "b.json").read_bytes())
+        serial = run_sweep(config, out_path=tmp_path / "a", workers=1)
+        fanned = run_sweep(config, out_path=tmp_path / "b", workers=2)
+        assert warehouse_files(tmp_path / "a") == warehouse_files(tmp_path / "b")
         assert serial.n_run == fanned.n_run == 2
 
     def test_faults_require_cluster_engine(self):

@@ -63,7 +63,7 @@ from repro.sim.engine import simulate
 from repro.sim.multi import simulate_multi
 from repro.sim.workload import WorkloadSpec, generate_workload
 
-from conftest import build_trace, make_request
+from conftest import build_trace, make_request, warehouse_files
 
 
 def toy_world(rate=60.0, n_requests=120, slo=10.0, seed=0):
@@ -687,13 +687,16 @@ class TestEngineTelemetry:
         config = SweepConfig(scenarios=("diurnal",), schedulers=("sjf", "dysta"),
                              seeds=(0, 1), duration=3.0, n_profile_samples=10,
                              telemetry_interval=0.5)
-        run_sweep(config, out_path=tmp_path / "w1.json", workers=1)
-        run_sweep(config, out_path=tmp_path / "w2.json", workers=2)
-        assert ((tmp_path / "w1.json").read_bytes()
-                == (tmp_path / "w2.json").read_bytes())
-        store = json.loads((tmp_path / "w1.json").read_text())
-        assert store["workload"]["telemetry_interval"] == 0.5
-        for cell in store["cells"].values():
+        from repro.warehouse import Warehouse
+
+        run_sweep(config, out_path=tmp_path / "w1", workers=1)
+        run_sweep(config, out_path=tmp_path / "w2", workers=2)
+        assert warehouse_files(tmp_path / "w1") == warehouse_files(tmp_path / "w2")
+        with Warehouse.open(tmp_path / "w1") as wh:
+            assert wh.workload["telemetry_interval"] == 0.5
+            cells = wh.read_cells()
+        assert len(cells) == 4
+        for cell in cells.values():
             series = cell["timeseries"]
             assert series["t"][0] == 0.0 and len(series["t"]) >= 2
             assert "completed" in series
@@ -703,7 +706,7 @@ class TestEngineTelemetry:
 
         config = SweepConfig(scenarios=("steady",), schedulers=("sjf",),
                              seeds=(0,), duration=2.0, n_profile_samples=10)
-        store = run_sweep(config, out_path=tmp_path / "w.json", workers=1)
+        store = run_sweep(config, out_path=tmp_path / "w", workers=1)
         assert all("timeseries" not in cell for cell in store.cells.values())
 
 

@@ -64,7 +64,9 @@ from repro.schedulers.base import make_scheduler
 from repro.sim.engine import simulate
 from repro.sim.multi import simulate_multi
 from repro.sim.workload import generate_workload
+from repro.warehouse import Warehouse
 
+from conftest import warehouse_files
 from test_obs import fingerprint, toy_world
 
 
@@ -461,12 +463,12 @@ class TestSweepAlerts:
                         seeds=(0,), alerts=True)
 
     def test_cells_record_deterministic_alerts(self, tmp_path):
-        out1, out2 = tmp_path / "w1.json", tmp_path / "w2.json"
+        out1, out2 = tmp_path / "w1", tmp_path / "w2"
         run_sweep(SweepConfig(**self.CONFIG), out_path=out1, workers=1)
         run_sweep(SweepConfig(**self.CONFIG), out_path=out2, workers=2)
-        assert out1.read_bytes() == out2.read_bytes()
-        store = json.loads(out1.read_text())
-        cell = store["cells"]["flash_crowd/dysta/seed0"]
+        assert warehouse_files(out1) == warehouse_files(out2)
+        with Warehouse.open(out1) as wh:
+            cell = wh.read_cells()["flash_crowd/dysta/seed0"]
         assert isinstance(cell["alerts"], list)
         assert any(a["kind"] == "burn_rate" for a in cell["alerts"])
         for alert in cell["alerts"]:

@@ -1,11 +1,9 @@
 """Tests for the parallel sweep runner and the `repro scenario` CLI."""
 
-import json
-
 import pytest
 
 from repro.cli import main
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, WarehouseError
 from repro.scenarios import (
     SweepConfig,
     aggregate,
@@ -13,6 +11,9 @@ from repro.scenarios import (
     run_sweep,
     workload_seed,
 )
+from repro.warehouse import Warehouse
+
+from conftest import LEGACY_STORE, warehouse_files
 
 #: Tiny but non-degenerate grid: fast enough for CI, big enough to exercise
 #: parallelism (more cells than workers).
@@ -61,35 +62,35 @@ class TestConfig:
 class TestSweep:
     def test_results_identical_across_worker_counts(self, tmp_path):
         config = tiny_config()
-        run_sweep(config, out_path=tmp_path / "w1.json", workers=1)
-        run_sweep(config, out_path=tmp_path / "w3.json", workers=3)
-        assert ((tmp_path / "w1.json").read_bytes()
-                == (tmp_path / "w3.json").read_bytes())
+        run_sweep(config, out_path=tmp_path / "w1", workers=1)
+        run_sweep(config, out_path=tmp_path / "w3", workers=3)
+        assert (warehouse_files(tmp_path / "w1")
+                == warehouse_files(tmp_path / "w3"))
 
     def test_resume_skips_completed_cells(self, tmp_path):
         config = tiny_config()
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         first = run_sweep(config, out_path=path, workers=1)
         assert first.n_run == 8 and first.n_skipped == 0
-        before = path.read_bytes()
+        before = warehouse_files(path)
         again = run_sweep(config, out_path=path, workers=2)
         assert again.n_run == 0 and again.n_skipped == 8
-        assert path.read_bytes() == before
+        assert warehouse_files(path) == before
 
     def test_grid_can_grow_incrementally(self, tmp_path):
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         run_sweep(tiny_config(), out_path=path, workers=1)
         grown = run_sweep(tiny_config(schedulers=("dysta", "sjf", "fcfs")),
                           out_path=path, workers=1)
         assert grown.n_skipped == 8 and grown.n_run == 4
-        store = json.loads(path.read_text())
-        assert len(store["cells"]) == 12
+        with Warehouse.open(path) as wh:
+            assert len(wh) == 12
 
     def test_workload_change_rejected_unless_forced(self, tmp_path):
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         run_sweep(tiny_config(), out_path=path, workers=1)
         changed = tiny_config(duration=4.0)
-        with pytest.raises(SchedulingError, match="different workload"):
+        with pytest.raises(WarehouseError, match="different workload"):
             run_sweep(changed, out_path=path, workers=1)
         forced = run_sweep(changed, out_path=path, workers=1, force=True)
         assert forced.n_run == 8 and forced.n_skipped == 0
@@ -122,19 +123,10 @@ class TestSweep:
                     + cells[cell_key("diurnal", "sjf", 1)]["antt"]) / 2.0
         assert table[("diurnal", "sjf")]["antt"] == pytest.approx(expected)
 
-    def test_corrupt_store_rejected(self, tmp_path):
-        path = tmp_path / "store.json"
-        path.write_text("{not json")
-        with pytest.raises(SchedulingError, match="corrupt"):
-            run_sweep(tiny_config(), out_path=path, workers=1)
-        path.write_text("null")  # valid JSON, but not a store object
-        with pytest.raises(SchedulingError, match="corrupt"):
-            run_sweep(tiny_config(), out_path=path, workers=1)
-
     def test_explicit_default_rate_resumes_default_store(self, tmp_path):
         # base_rate is stored resolved: None and the explicit family
         # default describe the same workload and share one store.
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         small = dict(scenarios=("steady",), schedulers=("sjf",), seeds=(0,))
         run_sweep(tiny_config(**small), out_path=path, workers=1)
         explicit = tiny_config(base_rate=tiny_config().rate, **small)
@@ -173,15 +165,15 @@ class TestSweep:
     def test_cluster_cells_identical_across_worker_counts(self, tmp_path):
         config = tiny_config(engine="cluster", pool_size=1,
                              autoscale="predictive", max_queue_depth=8)
-        run_sweep(config, out_path=tmp_path / "w1.json", workers=1)
-        run_sweep(config, out_path=tmp_path / "w3.json", workers=3)
-        assert ((tmp_path / "w1.json").read_bytes()
-                == (tmp_path / "w3.json").read_bytes())
+        run_sweep(config, out_path=tmp_path / "w1", workers=1)
+        run_sweep(config, out_path=tmp_path / "w3", workers=3)
+        assert (warehouse_files(tmp_path / "w1")
+                == warehouse_files(tmp_path / "w3"))
 
     def test_cluster_store_never_resumes_single_engine_store(self, tmp_path):
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         run_sweep(tiny_config(), out_path=path, workers=1)
-        with pytest.raises(SchedulingError, match="different workload"):
+        with pytest.raises(WarehouseError, match="different workload"):
             run_sweep(tiny_config(engine="cluster"), out_path=path, workers=1)
 
     def test_progress_callback(self, tmp_path):
@@ -204,13 +196,27 @@ class TestScenarioCLI:
     def test_sweep_runs_and_resumes(self, tmp_path, capsys):
         argv = ["scenario", "--scenarios", "diurnal", "--schedulers", "sjf",
                 "fcfs", "--seeds", "0", "--duration", "3", "--samples", "10",
-                "--workers", "2", "--out", str(tmp_path / "out.json")]
+                "--workers", "2", "--out", str(tmp_path / "out")]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "2 cells (2 run, 0 skipped)" in out
         assert "diurnal/sjf" in out and "wrote" in out
-        store = json.loads((tmp_path / "out.json").read_text())
-        assert len(store["cells"]) == 2
+        with Warehouse.open(tmp_path / "out") as wh:
+            assert len(wh) == 2
 
         assert main(argv) == 0
         assert "(0 run, 2 skipped)" in capsys.readouterr().out
+
+    def test_json_store_path_points_at_import(self, tmp_path, capsys):
+        # A JSON sweep store is no longer a place to sweep into: it is
+        # refused with the conversion command, never a raw traceback.
+        legacy = tmp_path / "legacy.json"
+        legacy.write_bytes(LEGACY_STORE.read_bytes())
+        argv = ["scenario", "--scenarios", "steady", "--schedulers", "sjf",
+                "--seeds", "0", "--duration", "3", "--samples", "10",
+                "--out", str(legacy)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "repro warehouse import" in err
+        assert legacy.read_bytes() == LEGACY_STORE.read_bytes()

@@ -3,8 +3,8 @@
 Covers the segment codec, the append/seal/compact lifecycle, the four
 crash-recovery windows, the streaming query layer, cross-run regression
 detection, live sweep telemetry, the warehouse-backed sweep runner
-(byte-identity across worker counts and interruptions), the legacy-JSON
-import shim and the ``repro warehouse`` / ``repro regress`` CLI.
+(byte-identity across worker counts and interruptions), the JSON-store
+import and the ``repro warehouse`` / ``repro regress`` CLI.
 """
 
 import json
@@ -30,9 +30,7 @@ from repro.warehouse import (
     group_key,
     group_stats,
     import_legacy_json,
-    is_warehouse,
     load_baseline,
-    load_store_cells,
     regressions,
     scan,
     select,
@@ -45,6 +43,8 @@ from repro.warehouse.store import (
     frame_journal_line,
     rows_from_columns,
 )
+
+from conftest import LEGACY_STORE, LEGACY_SWEEP
 
 WORKLOAD = {"family": "attnn", "duration": 2.0}
 
@@ -244,6 +244,22 @@ class TestStoreBasics:
         with pytest.raises(WarehouseError, match="unsupported"):
             Warehouse.open(root)
 
+    def test_file_root_points_at_import(self, tmp_path):
+        # An existing regular file (an old `--out foo.json`) is refused
+        # with the conversion command, never a raw NotADirectoryError.
+        legacy = tmp_path / "legacy.json"
+        legacy.write_bytes(LEGACY_STORE.read_bytes())
+        for attempt in (
+            lambda: Warehouse.open(legacy),
+            lambda: Warehouse.create(legacy, WORKLOAD),
+            lambda: Warehouse.open_or_create(legacy, WORKLOAD),
+        ):
+            with pytest.raises(WarehouseError,
+                               match="not a warehouse directory.*"
+                                     "repro warehouse import"):
+                attempt()
+        assert legacy.read_bytes() == LEGACY_STORE.read_bytes()
+
     def test_read_cells_subset(self, tmp_path):
         with Warehouse.create(tmp_path / "wh", WORKLOAD) as wh:
             fill(wh, 6)
@@ -262,12 +278,6 @@ class TestStoreBasics:
             assert [c["key"] for c in costs] == ["k0000", "k0001"]
             assert costs[0]["wall_s"] == 1.5 and costs[0]["worker"] == 42
             assert wh.fingerprint() == before  # sidecar is outside the envelope
-
-    def test_is_warehouse(self, tmp_path):
-        Warehouse.create(tmp_path / "wh", WORKLOAD).close()
-        assert is_warehouse(tmp_path / "wh")
-        assert not is_warehouse(tmp_path / "results.json")
-        assert is_warehouse(tmp_path / "new_dir")  # creatable-as-warehouse
 
 
 class TestDeterminism:
@@ -761,24 +771,6 @@ class TestRegress:
         lines = format_rows(compare(cur, base))
         assert len(lines) == 1 and "<-- REGRESSION" in lines[0]
 
-    def test_load_store_cells_both_formats(self, tmp_path):
-        with Warehouse.create(tmp_path / "wh", WORKLOAD) as wh:
-            fill(wh, 3)
-        workload, cells = load_store_cells(tmp_path / "wh")
-        assert workload == WORKLOAD and len(cells) == 3
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps(
-            {"workload": WORKLOAD,
-             "cells": {synth_key(i): synth_cell(i) for i in range(3)}}))
-        workload, cells = load_store_cells(legacy)
-        assert workload == WORKLOAD and len(cells) == 3
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        with pytest.raises(WarehouseError, match="neither a warehouse"):
-            load_store_cells(bad)
-        with pytest.raises(WarehouseError, match="unreadable"):
-            load_store_cells(tmp_path / "nope.json")
-
 
 # ---------------------------------------------------------------------------
 # Sweep telemetry
@@ -943,27 +935,49 @@ class TestSweepWarehouse:
                   telemetry=tel2)
         assert tel2.skipped == 4 and tel2.completed == 0
 
-    def test_warehouse_and_legacy_hold_identical_cells(self, tmp_path):
-        config = tiny_config(schedulers=("sjf",))
-        wh_result = run_sweep(config, out_path=tmp_path / "wh", workers=1)
-        legacy = run_sweep(config, out_path=tmp_path / "out.json", workers=1)
-        assert wh_result.cells == legacy.cells
-
 
 class TestImportShim:
     def test_import_then_resume(self, tmp_path):
-        config = tiny_config()
-        legacy_path = tmp_path / "legacy.json"
-        run_sweep(config, out_path=legacy_path, workers=1)
-        legacy_cells = json.loads(legacy_path.read_text())["cells"]
-        with import_legacy_json(legacy_path, tmp_path / "wh") as wh:
+        legacy_cells = json.loads(LEGACY_STORE.read_text())["cells"]
+        with import_legacy_json(LEGACY_STORE, tmp_path / "wh") as wh:
             assert wh.read_cells() == legacy_cells
         # The imported warehouse resumes the sweep with nothing to do.
-        resumed = run_sweep(config, out_path=tmp_path / "wh", workers=1)
-        assert resumed.n_run == 0 and resumed.n_skipped == 4
+        resumed = run_sweep(SweepConfig(**LEGACY_SWEEP),
+                            out_path=tmp_path / "wh", workers=1)
+        assert resumed.n_run == 0 and resumed.n_skipped == 1
         # Importing again is idempotent: all cells already present.
-        with import_legacy_json(legacy_path, tmp_path / "wh") as wh:
-            assert len(wh) == 4
+        with import_legacy_json(LEGACY_STORE, tmp_path / "wh") as wh:
+            assert len(wh) == 1
+
+    def test_import_backfills_keys_the_store_predates(self, tmp_path):
+        # The fixture predates the energy / telemetry / alerts / faults
+        # workload keys; the import records the values the JSON store
+        # implied for them, and a CLI sweep of the same grid then finds
+        # every cell done.
+        assert main(["warehouse", "import", str(LEGACY_STORE),
+                     "--out", str(tmp_path / "wh")]) == 0
+        with Warehouse.open(tmp_path / "wh") as wh:
+            workload = wh.workload
+        assert {key: workload[key] for key in
+                ("energy", "telemetry_interval", "alerts", "faults")} == {
+            "energy": False, "telemetry_interval": None, "alerts": False,
+            "faults": None}
+        resumed = run_sweep(SweepConfig(**LEGACY_SWEEP),
+                            out_path=tmp_path / "wh", workers=1)
+        assert resumed.n_run == 0 and resumed.n_skipped == 1
+
+    @pytest.mark.parametrize("cell", [5, None, [1, 2], "cell"],
+                             ids=["int", "null", "list", "string"])
+    def test_import_rejects_non_object_cells_before_writing(self, tmp_path,
+                                                            cell):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"workload": WORKLOAD,
+             "cells": {synth_key(0): synth_cell(0), "a/b/seed0": cell}}))
+        with pytest.raises(WarehouseError,
+                           match="cell 'a/b/seed0' is not an object"):
+            import_legacy_json(path, tmp_path / "wh")
+        assert not (tmp_path / "wh").exists()
 
     def test_import_rejects_non_stores(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -1107,12 +1121,13 @@ class TestRegressCLI:
                      "--baseline", str(cli_store / "nope.json")]) == 1
         assert "unreadable baseline" in capsys.readouterr().err
 
-    def test_legacy_store_accepted(self, cli_store, capsys, tmp_path):
+    def test_json_store_points_at_import(self, cli_store, capsys, tmp_path):
         legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps(
-            {"workload": WORKLOAD,
-             "cells": {"a/x/seed0": {"scenario": "a", "scheduler": "x",
-                                     "seed": 0, "stp": 10.0}}}))
-        baseline = str(tmp_path / "base.json")
-        assert main(["regress", str(legacy), "--write-baseline", baseline]) == 0
-        assert main(["regress", str(legacy), "--baseline", baseline]) == 0
+        legacy.write_bytes(LEGACY_STORE.read_bytes())
+        baseline = tmp_path / "base.json"
+        assert main(["regress", str(legacy),
+                     "--write-baseline", str(baseline)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "repro warehouse import" in err
+        assert not baseline.exists()

@@ -12,7 +12,7 @@ turns that history into a small static dashboard:
   latest entry's engine self-profiles;
 * **index.md** — the charts inlined, plus latest-entry summary tables.
 
-With ``--sweep STORE`` (a warehouse directory or legacy sweep JSON) it
+With ``--sweep STORE`` (a sweep warehouse directory) it
 additionally renders **fleet views** of the scheduling-quality grid:
 
 * **fleet_heatmap_<metric>.svg** — one scenario x scheduler heatmap per
@@ -332,7 +332,8 @@ def build_fleet_views(sweep_path: str, baseline_path: Optional[str],
     Returns ``(written_paths, markdown_lines)`` for the index.
     """
     warehouse = _load_repro()
-    workload, cells = warehouse.load_store_cells(sweep_path)
+    with warehouse.Warehouse.open(sweep_path) as wh:
+        workload, cells = wh.workload, wh.read_cells()
     written: List[str] = []
     lines: List[str] = ["## Fleet sweep", "",
                         f"Grid of {len(cells)} cells from `{sweep_path}` "
@@ -498,8 +499,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default=os.path.join("docs", "_dashboard"),
                         help="output directory for SVG + markdown")
     parser.add_argument("--sweep", default=None, metavar="STORE",
-                        help="also render fleet views of this sweep store "
-                             "(warehouse directory or legacy JSON)")
+                        help="also render fleet views of this sweep "
+                             "warehouse directory")
     parser.add_argument("--sweep-baseline",
                         default=os.path.join("benchmarks",
                                              "sweep_baseline.json"),
