@@ -40,7 +40,7 @@ from repro.obs.profile import (
     PHASE_ROUTE,
 )
 from repro.sim.metrics import summarize
-from repro.sim.request import Request
+from repro.sim.request import Request, check_unique_rids
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.energy.accounting import EnergyAccountant
@@ -214,8 +214,14 @@ class ClusterResult:
 
 
 def _request_stream(requests: Union[Sequence[Request], Iterable[Request]]) -> Iterator[Request]:
-    """Arrival-ordered request iterator; sorts sequences, checks iterators."""
+    """Arrival-ordered request iterator.
+
+    A sequence is checked for repeated rids and sorted.  A streamed
+    iterator is checked for arrival order only: a rid check would need a
+    set that grows with the stream.
+    """
     if isinstance(requests, Sequence):
+        check_unique_rids(requests)
         yield from sorted(requests, key=lambda r: (r.arrival, r.rid))
         return
     last_arrival = -float("inf")
@@ -244,9 +250,12 @@ def simulate_cluster(
     """Replay a request stream against a cluster of accelerator pools.
 
     Args:
-        requests: The stream, as a list (sorted internally) or an iterator
-            already ordered by arrival (consumed lazily — pair with
-            :func:`repro.sim.workload.iter_workload` for bounded memory).
+        requests: The stream, as a list (sorted internally; a repeated rid
+            is rejected before the run) or an iterator already ordered by
+            arrival (consumed lazily — pair with
+            :func:`repro.sim.workload.iter_workload` for bounded memory; its
+            rids are not checked, since that needs a set as long as the
+            stream).
         pools: Pools in router-visible order; names must be unique.
         router: A :class:`Router` instance, or a registry name for routers
             without constructor arguments (``"round-robin"``, ``"jsq"``).
@@ -273,14 +282,14 @@ def simulate_cluster(
             Passive, like ``energy``.
         faults: Optional :class:`~repro.faults.spec.FaultSpec` timeline.
             Its boundaries fire as first-class events: outages kill the
-            in-flight blocks of failed accelerators (the requests re-enter
-            the ready queue ticket-preserving), slowdown windows stretch
-            service time, blackout windows shed arrivals at admission
-            (reason ``fault_blackout``), and revocations remove capacity
-            via the graceful drain path.  The result metrics gain
-            ``num_faults`` / ``requests_requeued_by_fault`` /
-            ``requests_shed_by_blackout``, and ``fault``/``recover`` spans
-            land on the trace bus.  Faults fire only while the workload is
+            in-flight blocks of failed accelerators (each request's parked
+            row re-enters the ready queue with its scheduler state),
+            slowdown windows stretch service time, blackout windows shed
+            arrivals at admission (reason ``fault_blackout``), and
+            revocations remove capacity via the graceful drain path.  The
+            result metrics gain ``num_faults`` /
+            ``requests_requeued_by_fault`` / ``requests_shed_by_blackout``,
+            and ``fault``/``recover`` spans land on the trace bus.  Faults fire only while the workload is
             live — boundaries after the last completion are discarded, so
             a timeline never stretches the makespan.
     """

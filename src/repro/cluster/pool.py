@@ -421,12 +421,12 @@ class Pool:
 
         Unlike :meth:`remove_accelerators` (graceful drain), a failure
         kills the in-flight layer block: the request re-enters the ready
-        queue ticket-preserving (its scheduler row was stashed at dispatch
-        and is restored by the re-append; no completion callbacks fire),
-        the optimistic ``busy_time`` charge is rolled back, and the stale
-        block event is invalidated via the kill epoch.  A drain-safe batch
-        scheduler then re-runs ``on_layer_complete`` for the request: blocks
-        continued since that dispatch never refreshed the stash, and the
+        queue with its scheduler row (parked at dispatch, swapped back in
+        by the re-append; no completion callbacks fire), the optimistic
+        ``busy_time`` charge is rolled back, and the stale block event is
+        invalidated via the kill epoch.  A drain-safe batch scheduler then
+        re-runs ``on_layer_complete`` for the request: blocks continued
+        since that dispatch never refreshed the parked row, and the
         callback is overwrite-only, so the replay is idempotent and leaves
         the row as a dispatch at the last boundary would have.  Failed capacity
         stays provisioned — the bill keeps running — but is invisible to
@@ -669,8 +669,8 @@ class Pool:
         lowest idle id), that forced decision is taken here: the next block
         starts on ``npu`` through the start half :meth:`dispatch` uses.  It
         skips the ready-queue round trip, the overwrite-only
-        ``on_layer_complete`` (which writes nothing while the request is
-        outside the queue; :meth:`fail_accelerators` repairs the stash this
+        ``on_layer_complete`` (which writes nothing while the request's row
+        is parked; :meth:`fail_accelerators` repairs the parked row this
         leaves stale) and, for ``trivial_single`` policies,
         ``select_single``.  The block event still goes through the caller's
         heap.
@@ -741,7 +741,7 @@ class Pool:
                 )
             return True
         # Re-admit before the monitor callback so batch schedulers can
-        # refresh the request's row (aux state was stashed at dispatch).
+        # refresh the request's row (parked at dispatch, aux state intact).
         self.queue.append(request)
         self.scheduler.on_layer_complete(request, now)
         if prof is not None:

@@ -8,9 +8,9 @@ Following the paper's setup (Sec 6.1), the candidate criterion is
 estimates come from the offline profile — PREMA assumes a *static* workload,
 which is precisely the limitation Dysta addresses.
 
-In batch mode the token state lives in ready-queue aux columns (stashed and
-restored across the remove/re-add cycle of the multi-accelerator engines),
-so token accumulation is one array expression instead of a dict crawl; the
+In batch mode the token state lives in ready-queue aux columns (kept in the
+parked row while a dispatched request runs its layer block on a pool), so
+token accumulation is one array expression instead of a dict crawl; the
 scalar path keeps the original dict-based bookkeeping.  Both accumulate at
 the same decision instants with the same arithmetic, so token trajectories
 — and therefore schedules — are identical.

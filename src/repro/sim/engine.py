@@ -52,7 +52,7 @@ from repro.obs.profile import (
 )
 from repro.sim.metrics import summarize
 from repro.sim.ready_queue import ReadyQueue
-from repro.sim.request import Request
+from repro.sim.request import Request, check_unique_rids
 
 if TYPE_CHECKING:  # avoid a runtime circular import with repro.schedulers
     from repro.energy.accounting import EnergyAccountant
@@ -137,6 +137,7 @@ def _validate(requests, switch_cost: float, block_size: int) -> None:
     for req in requests:
         if req.next_layer != 0 or req.finish_time is not None:
             raise SchedulingError(f"request {req.rid} was already (partially) executed")
+    check_unique_rids(requests)
 
 
 def simulate(
@@ -152,7 +153,7 @@ def simulate(
     """Run the full request stream to completion under ``scheduler``.
 
     Requests are mutated in place (progress + finish times) and returned in
-    completion order inside the result.
+    completion order inside the result.  Their rids must be unique.
 
     Args:
         energy: Optional :class:`~repro.energy.accounting.EnergyAccountant`;

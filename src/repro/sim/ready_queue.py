@@ -16,9 +16,16 @@ queue fast path), maintained incrementally:
 * **column subsets** — the bound scheduler declares which columns it reads
   (``Scheduler.batch_columns``), and only those are maintained.
 * **aux columns** — named scheduler-owned per-request state (PREMA tokens,
-  Dysta's cached remaining estimate) that rides along with swap-removes and
-  survives the remove/re-add cycle of the multi-accelerator engines via a
-  requeue stash.
+  Dysta's cached remaining estimate) that rides along with swap-removes.
+* **parked rows** — a pool removes its winner with ``remove(request,
+  requeue=True)`` while the request runs a layer block.  The row swaps into
+  the last live slot and ``_n`` shrinks, so its columns (aux state
+  included) wait just past the live rows; the re-``add`` at the block
+  boundary swaps it back into slot ``_n`` and refreshes only its progress
+  columns.  Both halves are O(1), and the live rows end up in the same
+  order a swap-remove plus an append would give.  Parked rows are
+  invisible to the ``Sequence`` protocol, lookups, progress updates, the
+  change journal and :attr:`~ReadyQueue.missing_entries`.
 
 The queue also implements the ``Sequence`` protocol over the live
 :class:`~repro.sim.request.Request` objects, so unconverted schedulers'
@@ -95,14 +102,13 @@ class ReadyQueue(Sequence):
         self._cols = frozenset(columns)
         self._cap = max(int(capacity), 4)
         self._n = 0
+        #: Live requests by slot, and live rid -> slot.
         self._requests: List[Request] = []
         self._pos: Dict[int, int] = {}
-        #: rid -> (column values, aux values, missing flag) for requests
-        #: temporarily removed while running on an accelerator (multi /
-        #: cluster engines).  Re-adding a ticketed request restores the
-        #: constant columns verbatim and only recomputes the progress-
-        #: dependent ones.
-        self._stash: Dict[int, tuple] = {}
+        #: Parked rid -> slot.  Parked rows fill slots
+        #: ``[_n, _n + len(_parked))`` of every column; the list mirrors
+        #: cover live and parked rows alike.
+        self._parked: Dict[int, int] = {}
         self._missing = 0  # live requests without a LUT entry
         #: Change journal for the incremental selection cache: rids touched
         #: since the cache last rebuilt.  ``None`` until a cache attaches via
@@ -118,13 +124,13 @@ class ReadyQueue(Sequence):
             active = col in self._cols
             setattr(self, f"np_{col}", np.empty(self._cap) if active else None)
             setattr(self, f"ls_{col}", [] if active else None)
-        #: Precomputed attribute names for the hot swap-remove path.
-        self._col_attrs: Tuple[Tuple[str, str], ...] = tuple(
+        #: Attribute names of the active columns, ``rid`` first.
+        self._col_attrs: Tuple[Tuple[str, str], ...] = (("np_rid", "ls_rid"),) + tuple(
             (f"np_{c}", f"ls_{c}") for c in sorted(self._cols)
         )
         #: The list mirrors are stable objects (mutated in place, never
-        #: rebound), so the requeue-ticket path can hold direct references;
-        #: the numpy twin is rebound on growth (see :meth:`_grow`).
+        #: rebound), so the row moves can hold direct references; the numpy
+        #: twins are rebound on growth (see :meth:`_grow`).
         self._ls_cols: Tuple[list, ...] = tuple(
             getattr(self, ls_name) for _, ls_name in self._col_attrs
         )
@@ -194,12 +200,14 @@ class ReadyQueue(Sequence):
     # -- aux columns --------------------------------------------------------
 
     def register_aux(self, name: str, default: float = 0.0) -> None:
-        """Create a scheduler-owned per-request column (idempotent)."""
+        """Create a scheduler-owned per-request column (idempotent); live
+        and parked rows start at ``default``."""
         if name in self._aux:
             return
+        end = self._n + len(self._parked)
         arr = np.empty(self._cap)
-        arr[: self._n] = default
-        self._aux[name] = _AuxColumn(arr, [default] * self._n, default)
+        arr[:end] = default
+        self._aux[name] = _AuxColumn(arr, [default] * end, default)
 
     def aux_np(self, name: str) -> np.ndarray:
         """Full-capacity aux array (slice with ``[:len(queue)]``); read-only
@@ -217,13 +225,14 @@ class ReadyQueue(Sequence):
     def aux_list(self, name: str) -> List[float]:
         """Plain-list mirror of an aux column (rebuilt if stale).
 
+        Slots ``[0, len(queue))`` hold the live rows; parked rows follow.
         The returned list object is stable for the queue's lifetime (synced
         in place), so hot paths may hold on to it as long as the column is
         only ever point-written (never through :meth:`aux_np_writable`).
         """
         col = self._aux[name]
         if col.dirty:
-            col.ls[:] = col.arr[: self._n].tolist()
+            col.ls[:] = col.arr[: self._n + len(self._parked)].tolist()
             col.dirty = False
         return col.ls
 
@@ -250,52 +259,102 @@ class ReadyQueue(Sequence):
             self._journal.add(request.rid)
 
     def forget(self, rid: int) -> None:
-        """Drop any requeue stash for ``rid`` (call when a request finishes
-        outside the queue, so streaming replays stay bounded-memory)."""
-        self._stash.pop(rid, None)
+        """Drop the parked row of ``rid``, if any.
+
+        Call when a dispatched request finishes outside the queue, so
+        streaming replays stay bounded-memory.  The last parked row fills
+        the hole; live rows do not move.
+        """
+        j = self._parked.pop(rid, None)
+        if j is None:
+            return
+        last = self._n + len(self._parked)
+        if j != last:
+            self._swap(j, last)
+            self._parked[self.ls_rid[j]] = j
+        for ls in self._ls_cols:
+            ls.pop()
+        for col in self._aux.values():
+            col.ls.pop()
+        if self._need_entry:
+            self._ls_missing.pop()
 
     # -- mutation -----------------------------------------------------------
 
     def _grow(self) -> None:
         new_cap = self._cap * 2
-        grown = np.empty(new_cap, dtype=np.int64)
-        grown[: self._n] = self.np_rid[: self._n]
-        self.np_rid = grown
         for np_name, _ in self._col_attrs:
             old = getattr(self, np_name)
-            arr = np.empty(new_cap)
-            arr[: self._n] = old[: self._n]
+            arr = np.empty(new_cap, dtype=old.dtype)
+            arr[: self._cap] = old
             setattr(self, np_name, arr)
         for col in self._aux.values():
             arr = np.empty(new_cap)
-            arr[: self._n] = col.arr[: self._n]
+            arr[: self._cap] = col.arr
             col.arr = arr
         self._np_cols = tuple(
             getattr(self, np_name) for np_name, _ in self._col_attrs
         )
         self._cap = new_cap
 
-    def add(self, request: Request) -> int:
-        """Admit ``request``; fills every active column from its cached state.
+    def _swap(self, a: int, b: int) -> None:
+        """Exchange slots ``a`` and ``b`` in every column; the caller fixes
+        the rid maps.  Numpy cells are written from their list mirrors,
+        which hold the same values, except in a stale aux mirror."""
+        for arr, ls in zip(self._np_cols, self._ls_cols):
+            ls[a], ls[b] = ls[b], ls[a]
+            arr[a] = ls[a]
+            arr[b] = ls[b]
+        for col in self._aux.values():
+            arr, ls = col.arr, col.ls
+            ls[a], ls[b] = ls[b], ls[a]
+            if col.dirty:
+                arr[a], arr[b] = arr[b], arr[a]
+            else:
+                arr[a] = ls[a]
+                arr[b] = ls[b]
+        if self._need_entry:
+            m = self._ls_missing
+            m[a], m[b] = m[b], m[a]
 
-        Returns the slot index.  A request re-entering after running a layer
-        block (multi-accelerator engines) restores its stashed aux state.
+    def add(self, request: Request) -> int:
+        """Admit ``request``; returns its slot, always ``len(queue) - 1``.
+
+        A parked request (one that left through ``remove(requeue=True)``)
+        swaps back into slot ``_n`` with its columns and aux state as it
+        left them, and :meth:`update_progress` refreshes the progress
+        columns.  A fresh request fills every active column from its cached
+        state in the first free slot, past any parked rows, and then swaps
+        into slot ``_n``.
         """
-        i = self._n
+        rid = request.rid
+        n = self._n
+        parked = self._parked
+        if parked:
+            j = parked.pop(rid, None)
+            if j is not None:
+                if j != n:
+                    self._swap(j, n)
+                    parked[self.ls_rid[j]] = j
+                self._requests.append(request)
+                self._pos[rid] = n
+                self._n = n + 1
+                if self._need_entry and self._ls_missing[n]:
+                    self._missing += 1
+                self.update_progress(request)
+                return n
+            i = n + len(parked)
+        else:
+            i = n
         if i == self._cap:
             self._grow()
-        rid = request.rid
         self._requests.append(request)
-        self._pos[rid] = i
-        self._n = i + 1
+        self._pos[rid] = n
+        self._n = n + 1
         self.np_rid[i] = rid
         self.ls_rid.append(rid)
         if self._journal is not None:
             self._journal.add(rid)
-
-        ticket = self._stash.pop(rid, None) if self._stash else None
-        if ticket is not None:
-            return self._readd(request, i, ticket)
 
         cols = self._cols
         if cols:
@@ -347,110 +406,53 @@ class ReadyQueue(Sequence):
             col.arr[i] = v
             # A stale mirror still tracks length; contents rebuilt on sync.
             col.ls.append(v)
-        return i
-
-    def _readd(self, request: Request, i: int, ticket: tuple) -> int:
-        """Re-admit a request that left via ``remove(requeue=True)``.
-
-        Constant columns (arrival, deadline, priority, isolated latencies)
-        come back verbatim from the ticket; only the progress-dependent
-        columns are recomputed from the request, and the LUT lookup /
-        missing-entry bookkeeping is skipped entirely.
-        """
-        col_vals, aux_vals, missing = ticket
-        for arr, ls, v in zip(self._np_cols, self._ls_cols, col_vals):
-            arr[i] = v
-            ls.append(v)
-        if self._need_entry:
-            self._ls_missing.append(missing)
-            if missing:
-                self._missing += 1
-        if self._up_lre:
-            v = request.last_run_end
-            self.np_last_run_end[i] = v
-            self.ls_last_run_end[i] = v
-        if self._up_exec:
-            v = request.executed_time
-            self.np_executed_time[i] = v
-            self.ls_executed_time[i] = v
-        if self._up_true_rem:
-            v = request.true_remaining
-            self.np_true_remaining[i] = v
-            self.ls_true_remaining[i] = v
-        if self._up_est_rem and not missing:
-            entry = request.lut_entry(self._lut)
-            v = entry.remaining_suffix_t[request.next_layer]
-            self.np_est_remaining[i] = v
-            self.ls_est_remaining[i] = v
-        for col, v in zip(self._aux.values(), aux_vals):
-            col.arr[i] = v
-            col.ls.append(v)
-        return i
+        if i != n:
+            self._swap(i, n)
+            parked[self.ls_rid[i]] = i
+        return n
 
     #: Engines call ``queue.append(...)`` on both list- and array-backed
     #: queues; alias keeps the call sites uniform.
     append = add
 
     def remove(self, request: Request, requeue: bool = False) -> None:
-        """Swap-remove ``request`` from every column in O(1).
+        """Take ``request`` out of the live rows in O(1).
+
+        The last live row takes its slot, as in a swap-remove, and the
+        request's row moves just past the live rows (it is *parked*).
 
         Args:
             requeue: The request is only leaving to run a layer block and
-                will be re-added (multi-accelerator engines); its aux state
-                is stashed and restored by the next :meth:`add`.
+                will be re-added (pool dispatch): the row stays parked until
+                the next :meth:`add` of the request swaps it back in or
+                :meth:`forget` drops it.  Otherwise the row is dropped at
+                once.
         """
-        i = self._pos.get(request.rid)
+        rid = request.rid
+        i = self._pos.get(rid)
         if i is None or self._requests[i] is not request:
             raise SchedulingError(
-                f"request {request.rid} is not in the ready queue"
+                f"request {rid} is not in the ready queue"
             )
-        del self._pos[request.rid]
+        del self._pos[rid]
         if self._journal is not None:
-            # A permanent removal needs no mark (dead rids are skipped by
-            # liveness checks); a requeue re-add re-marks on the way back in.
-            self._journal.discard(request.rid)
+            # A parked or dropped row needs no mark (rids outside the live
+            # rows are skipped by liveness checks); a re-add re-marks it.
+            self._journal.discard(rid)
         last = self._n - 1
-        if requeue:
-            self._stash[request.rid] = (
-                tuple(ls[i] for ls in self._ls_cols),
-                tuple(
-                    col.ls[i] if not col.dirty else float(col.arr[i])
-                    for col in self._aux.values()
-                ),
-                self._ls_missing[i] if self._need_entry else False,
-            )
         reqs = self._requests
         if i != last:
             moved = reqs[last]
             reqs[i] = moved
             self._pos[moved.rid] = i
-            self.np_rid[i] = self.np_rid[last]
-            self.ls_rid[i] = self.ls_rid[last]
-            for np_name, ls_name in self._col_attrs:
-                arr = getattr(self, np_name)
-                arr[i] = arr[last]
-                ls = getattr(self, ls_name)
-                ls[i] = ls[last]
-            for col in self._aux.values():
-                col.arr[i] = col.arr[last]
-                if not col.dirty:
-                    col.ls[i] = col.ls[last]
+            self._swap(i, last)
         reqs.pop()
-        self.ls_rid.pop()
-        for _, ls_name in self._col_attrs:
-            getattr(self, ls_name).pop()
-        for col in self._aux.values():
-            col.ls.pop()
-        if self._need_entry:
-            if i != last:
-                removed_missing = self._ls_missing[i]
-                self._ls_missing[i] = self._ls_missing[last]
-            else:
-                removed_missing = self._ls_missing[i]
-            self._ls_missing.pop()
-            if removed_missing:
-                self._missing -= 1
         self._n = last
+        if self._need_entry and self._ls_missing[last]:
+            self._missing -= 1
+        self._parked[rid] = last
+        if not requeue:
+            self.forget(rid)
 
     def _update_progress_lre_only(self, request: Request) -> None:
         """update_progress specialization when only last_run_end is live."""
@@ -463,12 +465,12 @@ class ReadyQueue(Sequence):
                 self._journal.add(request.rid)
 
     def update_progress(self, request: Request) -> None:
-        """Refresh the row of an in-queue request after a layer advance.
+        """Refresh the row of a live request after a layer advance.
 
         The engine has already mutated ``next_layer`` / ``executed_time`` /
-        ``last_run_end``; this folds the new values into the columns in O(1)
-        (the multi-accelerator engines instead remove/re-add, which refreshes
-        everything).
+        ``last_run_end``; this folds the new values into the progress
+        columns in O(1).  A parked request is skipped: :meth:`add` calls
+        this when it swaps the row back in.
         """
         i = self._pos.get(request.rid)
         if i is None:

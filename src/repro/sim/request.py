@@ -19,7 +19,7 @@ immutable once the request exists), so they are O(1) instead of O(L).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -173,3 +173,19 @@ class Request:
         entry = lut.entry_or_none(self._key)
         self._lut_ref = (lut, entry)
         return entry
+
+
+def check_unique_rids(requests: Iterable[Request]) -> None:
+    """Reject a workload in which two requests share a ``rid``.
+
+    The ready queue, the routers and the ledgers key requests by rid, so a
+    repeated id would corrupt a run part-way through.
+    """
+    seen = set()
+    for req in requests:
+        if req.rid in seen:
+            raise SchedulingError(
+                f"request id {req.rid} appears more than once; "
+                "request ids must be unique within a workload"
+            )
+        seen.add(req.rid)

@@ -112,8 +112,8 @@ class SelectionCache:
                     idxs.append(j)
             if journal:
                 lset = self.ladder_set
-                # Journalled rids are always live: permanent removals are
-                # discarded from the journal at remove() time.
+                # Journalled rids are always live: remove() discards the
+                # rid whether it parks the row or drops it.
                 idxs.extend(pos[rid] for rid in journal if rid not in lset)
             if idxs:
                 # clear_at = B - decay*dt: every row whose penalty-free
@@ -156,7 +156,7 @@ class SelectionCache:
             self.bound = float(primary[int(part[k])])
             self.pen_scale = pen_scale
         else:
-            self.ladder = list(queue.ls_rid)
+            self.ladder = queue.ls_rid[:n]
             self.bound = float("inf")
             self.pen_scale = 0.0
         self.ladder_set = frozenset(self.ladder)

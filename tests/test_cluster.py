@@ -130,6 +130,12 @@ class TestValidation:
         with pytest.raises(SchedulingError, match="already"):
             simulate_cluster([req], [Pool("a", make_scheduler("fcfs", toy_lut))])
 
+    def test_duplicate_rids_rejected_before_the_run(self, toy_lut):
+        reqs = [short(0, 0.0), long(1, 0.0), long(0, 0.001), short(1, 0.002)]
+        with pytest.raises(SchedulingError, match="request id 0 appears more than once"):
+            simulate_cluster(reqs, [Pool("a", make_scheduler("dysta", toy_lut), 2)])
+        assert all(r.next_layer == 0 for r in reqs)
+
     def test_admission_controller_validation(self, toy_lut):
         with pytest.raises(SchedulingError):
             AdmissionController(max_queue_depth=0)

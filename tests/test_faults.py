@@ -8,8 +8,8 @@ The anchors:
   perturbation of the event loop;
 * **accounting** — every injected fault shows up once in
   ``ClusterResult.metrics["num_faults"]`` and at least once on the trace
-  bus; killed in-flight requests are requeued ticket-preserving and still
-  complete;
+  bus; killed in-flight requests are requeued with their scheduler state
+  and still complete;
 * **determinism** — timelines and presets are pure functions of their
   seeds, and serialize to byte-stable JSON (the fuzzer's reproducer
   contract).

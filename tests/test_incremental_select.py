@@ -12,7 +12,7 @@ every step, not just on engine-shaped workloads.
 The op mix deliberately includes the queue motions the caches must survive:
 
 * ``arrive``  — admit the next workload request (journal add),
-* ``run``     — select, remove with a requeue ticket, execute one layer
+* ``run``     — select, park with ``remove(requeue=True)``, execute one layer
   block, then re-admit (or complete) — the multi-accelerator dispatch shape,
 * ``drop``    — remove a random resident request outright (cluster
   rebalance / migration out),
@@ -63,7 +63,7 @@ class Lane:
 
     def run_block(self, chosen, now):
         """Execute one layer of ``chosen`` the way the multi-NPU engines do:
-        remove with a requeue ticket, advance, re-admit or complete."""
+        park with ``remove(requeue=True)``, advance, re-admit or complete."""
         self.queue.remove(chosen, requeue=True)
         nl = chosen.next_layer
         dt = chosen.layer_latencies[nl]

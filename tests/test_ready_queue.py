@@ -158,6 +158,207 @@ class TestAux:
         assert q.aux_list("tokens")[q.add(r)] == 0.0
 
 
+class _RowModel:
+    """Reference semantics of the requeue cycle: a list of rows with
+    swap-remove and append, plus a saved row per dispatched rid.
+
+    A row is ``{"req", "missing", <column>: value, ..., "aux": {...}}``.
+    Re-admitting a saved row keeps its constant columns and aux values and
+    recomputes only the progress columns from the request.
+    """
+
+    def __init__(self, lut):
+        self.lut = lut
+        self.rows = []
+        self.saved = {}
+        self.aux = {"tokens": 0.0, "kid": -1.0}
+
+    def register_aux(self, name, default):
+        self.aux[name] = default
+        for row in self.rows + list(self.saved.values()):
+            row["aux"][name] = default
+
+    def _progress(self, row):
+        req = row["req"]
+        row["last_run_end"] = req.last_run_end
+        row["executed_time"] = req.executed_time
+        row["true_remaining"] = req.true_remaining
+        if not row["missing"]:
+            row["est_remaining"] = req.lut_entry(self.lut).remaining_suffix_t[req.next_layer]
+
+    def add(self, req):
+        row = self.saved.pop(req.rid, None)
+        if row is not None:
+            row["req"] = req
+            self._progress(row)
+        else:
+            entry = req.lut_entry(self.lut)
+            missing = entry is None
+            row = {
+                "req": req, "missing": missing, "rid": req.rid,
+                "arrival": req.arrival, "deadline": req.deadline,
+                "priority": req.priority,
+                "true_isolated": req.isolated_latency,
+                "true_remaining": req.true_remaining,
+                "last_run_end": req.last_run_end,
+                "executed_time": req.executed_time,
+                "est_isolated": np.nan if missing else entry.avg_total_latency,
+                "est_remaining": (np.nan if missing
+                                  else entry.remaining_suffix_t[req.next_layer]),
+                "aux": dict(self.aux),
+            }
+        self.rows.append(row)
+
+    def index(self, req):
+        for i, row in enumerate(self.rows):
+            if row["req"] is req:
+                return i
+        return -1
+
+    def remove(self, req, requeue=False):
+        i = self.index(req)
+        row = self.rows[i]
+        self.rows[i] = self.rows[-1]
+        self.rows.pop()
+        if requeue:
+            self.saved[req.rid] = row
+
+    def forget(self, rid):
+        self.saved.pop(rid, None)
+
+
+class TestParkedRows:
+    """Differential check: parked rows against :class:`_RowModel`."""
+
+    def check(self, q, model, everyone):
+        n = len(model.rows)
+        live = [row["req"] for row in model.rows]
+        assert len(q) == n
+        assert list(q) == live
+        assert all(a is b for a, b in zip(q, live))
+        for req in everyone:
+            i = model.index(req)
+            assert (req in q) == (i >= 0)
+            assert q.index_of(req) == i
+        assert q.missing_entries == sum(row["missing"] for row in model.rows)
+        for col in ("rid",) + KNOWN_COLUMNS:
+            want = np.array([row[col] for row in model.rows], dtype=float)
+            np.testing.assert_array_equal(getattr(q, f"np_{col}")[:n], want, err_msg=col)
+            np.testing.assert_array_equal(
+                np.array(getattr(q, f"ls_{col}")[:n], dtype=float), want, err_msg=col)
+        for name in model.aux:
+            want = np.array([row["aux"][name] for row in model.rows], dtype=float)
+            np.testing.assert_array_equal(q.aux_np(name)[:n], want, err_msg=name)
+            col = q._aux[name]
+            if not col.dirty:  # a stale mirror is only read after aux_list()
+                np.testing.assert_array_equal(np.array(col.ls[:n], dtype=float), want,
+                                              err_msg=name)
+        live_rids = {req.rid for req in live}
+        assert not q._journal & model.saved.keys()
+        assert q._journal <= live_rids
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_ops_match_swap_remove_model(self, toy_lut, seed):
+        rng = np.random.default_rng(seed)
+        q = ReadyQueue(toy_lut, columns=KNOWN_COLUMNS)  # initial capacity 64
+        model = _RowModel(toy_lut)
+        for name, default in model.aux.items():
+            q.register_aux(name, default)
+        q.enable_journal()
+        everyone, running = [], []
+        now = 0.0
+        grew_while_parked = False
+        peak_missing = 0
+        ops = ("arrive", "dispatch", "readmit", "forget", "remove",
+               "vector", "point", "sync", "progress", "clear")
+        # Arrivals dominate early so the queue outgrows 64 rows while
+        # dispatched rows are parked; later the queue drains.
+        early = np.array([8, 4, 3, 1, 1, 1, 2, 1, 1, 1], dtype=float)
+        late = np.array([1, 4, 3, 1, 3, 1, 2, 1, 1, 1], dtype=float)
+        for step in range(900):
+            now += 0.001
+            p = early if step < 400 else late
+            op = ops[rng.choice(len(ops), p=p / p.sum())]
+            cap = q._cap
+            if "late" not in model.aux and len(running) >= 2:
+                # A column registered while rows are parked covers them too.
+                q.register_aux("late", 3.0)
+                model.register_aux("late", 3.0)
+            if op == "arrive":
+                model_name = ("short", "long", "alexnet")[rng.choice(3, p=[0.45, 0.45, 0.1])]
+                req = make_request(rid=len(everyone), model=model_name, arrival=now,
+                                   slo=float(rng.uniform(1.0, 4.0)),
+                                   latencies=(0.001, 0.002, 0.003),
+                                   sparsities=(0.5, 0.5, 0.5))
+                req.priority = float(rng.choice([1.0, 2.0]))
+                everyone.append(req)
+                q.add(req)
+                model.add(req)
+                if q._cap > cap and running:
+                    grew_while_parked = True
+            elif op == "dispatch" and len(q):
+                req = q[int(rng.integers(len(q)))]
+                q.remove(req, requeue=True)
+                model.remove(req, requeue=True)
+                running.append(req)
+            elif op == "readmit" and running:
+                req = running.pop(int(rng.integers(len(running))))
+                dt = req.layer_latencies[req.next_layer]
+                req.next_layer += 1
+                req.executed_time += dt
+                req.last_run_end = now
+                if req.is_done:
+                    q.forget(req.rid)
+                    model.forget(req.rid)
+                else:
+                    q.add(req)
+                    model.add(req)
+            elif op == "forget" and running:
+                req = running.pop(int(rng.integers(len(running))))
+                q.forget(req.rid)
+                model.forget(req.rid)
+            elif op == "forget" and len(q):
+                q.forget(q[int(rng.integers(len(q)))].rid)  # live: a no-op
+            elif op == "remove" and len(q):
+                req = q[int(rng.integers(len(q)))]
+                q.remove(req)
+                model.remove(req)
+            elif op == "vector":
+                # PREMA-style token accumulation over the live rows.
+                arr = q.aux_np_writable("tokens")
+                arr[: len(q)] += 0.5 * q.np_priority[: len(q)]
+                for row in model.rows:
+                    row["aux"]["tokens"] += 0.5 * row["priority"]
+            elif op == "point" and everyone:
+                req = everyone[int(rng.integers(len(everyone)))]
+                name = ("kid", "late")[int(rng.integers(2))] if "late" in model.aux else "kid"
+                value = float(rng.integers(0, 5))
+                q.aux_set_for(name, req, value)
+                i = model.index(req)
+                if i >= 0:
+                    model.rows[i]["aux"][name] = value
+            elif op == "sync":
+                for name in model.aux:
+                    q.aux_list(name)
+            elif op == "progress" and everyone:
+                # A layer advance; a parked request's refresh is a no-op.
+                req = everyone[int(rng.integers(len(everyone)))]
+                if req.next_layer + 1 < req.num_layers:
+                    req.next_layer += 1
+                    req.executed_time += 0.001
+                    req.last_run_end = now
+                    i = model.index(req)
+                    if i >= 0:
+                        model._progress(model.rows[i])
+                q.update_progress(req)
+            elif op == "clear":
+                q.journal_clear()
+            self.check(q, model, everyone)
+            peak_missing = max(peak_missing, q.missing_entries)
+        assert grew_while_parked and "late" in model.aux
+        assert peak_missing > 0
+
+
 class TestMissingEntries:
     def test_unknown_model_counts_as_missing(self, toy_lut):
         q = rq(toy_lut)

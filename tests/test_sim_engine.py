@@ -50,6 +50,14 @@ class TestEngineBasics:
         with pytest.raises(SchedulingError, match="outside the queue"):
             simulate([short(0, 0.0)], BadScheduler(toy_lut))
 
+    def test_duplicate_rids_rejected_before_the_run(self, toy_lut):
+        # Two streams both numbered from rid 0: the ready queue keys its rows
+        # by rid, so the batch path used to fail part-way through the run.
+        reqs = [short(0, 0.0), long(1, 0.0), long(0, 0.001), short(1, 0.002)]
+        with pytest.raises(SchedulingError, match="request id 0 appears more than once"):
+            simulate(reqs, make_scheduler("dysta", toy_lut))
+        assert all(r.next_layer == 0 for r in reqs)
+
     def test_single_request_runs_isolated(self, toy_lut):
         req = short(0, arrival=1.0)
         result = simulate([req], FirstInQueue(toy_lut))
