@@ -1,7 +1,7 @@
 """Performance-trajectory runner behind the ``repro perf`` CLI subcommand.
 
-Times the simulator's hot paths — the single-NPU engine per scheduler on
-both the scalar reference path and the vectorized fast path, the deep-queue
+Times the simulator's hot paths — the single-NPU engine per scheduler
+against the list-queue reference loop (``simulate_reference``), the deep-queue
 overload regime, and the streaming cluster replay — and emits a
 ``BENCH_perf.json`` snapshot.  The JSON is the repo's measured perf
 baseline: every optimisation PR re-runs it and compares against the
@@ -23,7 +23,7 @@ from repro.core.lut import ModelInfoLUT
 from repro.obs.hostmem import peak_rss_mb, reset_peak_rss
 from repro.profiling.profiler import benchmark_suite
 from repro.schedulers.base import make_scheduler
-from repro.sim.engine import simulate
+from repro.sim.engine import simulate, simulate_reference
 from repro.sim.workload import WorkloadSpec, generate_workload, iter_workload
 
 ENGINE_SCHEDULERS = ("dysta", "fcfs", "sjf", "prema", "sdrm3", "oracle")
@@ -53,7 +53,8 @@ def time_engine_suite(
     rounds: int = 3,
     progress=None,
 ) -> Dict[str, Dict[str, float]]:
-    """Scalar vs vectorized wall-clock per scheduler on one workload.
+    """Reference loop (``scalar_s``) vs ``simulate`` (``vectorized_s``)
+    wall-clock per scheduler on one workload.
 
     Matches ``bench_perf_engine_dysta``'s workload (attnn suite, 200
     requests @ 30 req/s) so the numbers line up with the pytest-benchmark
@@ -66,11 +67,11 @@ def time_engine_suite(
     out: Dict[str, Dict[str, float]] = {}
     for name in schedulers:
         row: Dict[str, float] = {}
-        for label, use_batch in (("scalar_s", False), ("vectorized_s", None)):
-            def run(use_batch=use_batch):
+        for label, engine in (("scalar_s", simulate_reference),
+                              ("vectorized_s", simulate)):
+            def run(engine=engine):
                 reqs = generate_workload(traces, spec)
-                result = simulate(reqs, make_scheduler(name, lut),
-                                  use_batch=use_batch)
+                result = engine(reqs, make_scheduler(name, lut))
                 assert len(result.requests) == n_requests
             row[label] = _best_of(run, rounds)
         row["speedup"] = row["scalar_s"] / row["vectorized_s"]
@@ -97,12 +98,12 @@ def time_deep_queue(
                         slo_multiplier=10.0, seed=1)
     row: Dict[str, float] = {}
     max_queue = 0
-    for label, use_batch in (("scalar_s", False), ("vectorized_s", None)):
-        def run(use_batch=use_batch):
+    for label, engine in (("scalar_s", simulate_reference),
+                          ("vectorized_s", simulate)):
+        def run(engine=engine):
             nonlocal max_queue
             reqs = generate_workload(traces, spec)
-            result = simulate(reqs, make_scheduler("dysta", lut),
-                              use_batch=use_batch)
+            result = engine(reqs, make_scheduler("dysta", lut))
             max_queue = max(max_queue, result.max_queue_length)
         row[label] = _best_of(run, rounds)
     row["speedup"] = row["scalar_s"] / row["vectorized_s"]

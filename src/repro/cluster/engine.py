@@ -5,8 +5,8 @@ admission control; each pool schedules its own queue with an unmodified
 ``Scheduler``.  This event loop is also the multi-NPU engine:
 :func:`repro.sim.multi.simulate_multi` is a run of one pool behind the
 round-robin router.  With one pool of one accelerator and an always-admit
-controller the simulation is step-for-step identical to
-:func:`repro.sim.engine.simulate` (tested).
+controller the simulation makes :func:`repro.sim.engine.simulate`'s
+decisions, with bit-identical finish times at block size 1 (tested).
 
 Requests may be a list or any iterator sorted by arrival time; combined with
 ``retain_requests=False`` and :func:`repro.sim.workload.iter_workload`, the
@@ -80,10 +80,12 @@ class PoolStats:
     busy_time: float
     #: Fraction of provisioned accelerator-seconds spent serving.
     utilization: float
-    #: Decisions served by the vectorized fast path (0 on the scalar path).
+    #: Decisions served by the scheduler's ``select_single`` /
+    #: ``select_batch``: all of them except those over a queue holding a
+    #: request the LUT lacks.
     batch_selects: int = 0
     #: Blocks a lone request continued on the same accelerator (a subset of
-    #: ``batch_selects``; 0 on the scalar path).
+    #: ``batch_selects``; 0 unless the policy is ``single_drain_safe``).
     continued_blocks: int = 0
     #: Highest provisioned capacity reached during the run.
     peak_accelerators: int = 0
@@ -130,7 +132,7 @@ class ClusterResult:
     max_queue_length: int
     pool_stats: Dict[str, PoolStats]
     metrics: Dict[str, float] = field(default_factory=dict)
-    #: Decisions served by the vectorized fast path across all pools.
+    #: ``PoolStats.batch_selects`` summed over all pools.
     num_batch_selects: int = 0
     #: Blocks continued on the same accelerator across all pools.
     num_continued_blocks: int = 0

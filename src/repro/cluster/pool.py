@@ -26,10 +26,9 @@ runs CNNs at native speed but pays a penalty hosting an AttNN whose trace
 was profiled on Sanger).  Effective execution time of a layer is
 ``true_latency / (speed * affinity[model])``.
 
-Pools share the vectorized scheduling core: a pool whose scheduler supports
-batch selection backs its queue with an array-backed
-:class:`~repro.sim.ready_queue.ReadyQueue` and dispatches through
-``select_single`` / ``select_batch``, which is what keeps 100k-request
+Pools share the vectorized scheduling core: every pool backs its queue with
+an array-backed :class:`~repro.sim.ready_queue.ReadyQueue` and dispatches
+through ``select_single`` / ``select_batch``, which is what keeps 100k-request
 streaming replays fast — per-decision work stays O(queue) arithmetic in
 numpy (or a tight loop at small depths) instead of O(queue) Python
 property/dict traffic.  When a block's request is alone and its next
@@ -94,8 +93,6 @@ class Pool:
             models absent from the mapping run at factor 1.0.
         switch_cost: Weight-reload cost on a model switch, per accelerator.
         block_size: Scheduling granularity in layers.
-        use_batch: ``None``/``True`` uses the vectorized selection path when
-            the scheduler supports it; ``False`` forces the scalar path.
     """
 
     def __init__(
@@ -108,7 +105,6 @@ class Pool:
         affinity: Optional[Mapping[str, float]] = None,
         switch_cost: float = 0.0,
         block_size: int = 1,
-        use_batch: Optional[bool] = None,
     ):
         if not name:
             raise SchedulingError("pool name must be non-empty")
@@ -139,12 +135,9 @@ class Pool:
                 )
         self.switch_cost = switch_cost
         self.block_size = block_size
-        self._batch = use_batch is not False and getattr(
-            scheduler, "supports_batch", False
-        )
-        # Only drain-safe batch schedulers make a continued decision exact
-        # (see complete_block).
-        self._can_continue = self._batch and scheduler.single_drain_safe
+        # Only drain-safe schedulers make a continued decision exact (see
+        # complete_block).
+        self._can_continue = scheduler.single_drain_safe
         #: Energy accountant bound by the cluster engine for this run
         #: (survives reset(); ``None`` disables joule accounting).
         self._energy = None
@@ -159,14 +152,10 @@ class Pool:
     def reset(self) -> None:
         """Clear all per-run state; called by the cluster engine."""
         self.scheduler.reset()
-        if self._batch:
-            self.queue = ReadyQueue(
-                self.scheduler.lut, columns=self.scheduler.batch_columns
-            )
-            self.scheduler.bind_queue(self.queue)
-        else:
-            self.scheduler.bind_queue(None)
-            self.queue = []  # type: ignore[assignment]
+        self.queue = ReadyQueue(
+            self.scheduler.lut, columns=self.scheduler.batch_columns
+        )
+        self.scheduler.bind_queue(self.queue)
         n = self._initial_accelerators
         self.idle: List[int] = list(range(n))
         heapq.heapify(self.idle)
@@ -424,7 +413,7 @@ class Pool:
         queue with its scheduler row (parked at dispatch, swapped back in
         by the re-append; no completion callbacks fire), the optimistic
         ``busy_time`` charge is rolled back, and the stale block event is
-        invalidated via the kill epoch.  A drain-safe batch scheduler then
+        invalidated via the kill epoch.  A drain-safe scheduler then
         re-runs ``on_layer_complete`` for the request: blocks continued
         since that dispatch never refreshed the parked row, and the
         callback is overwrite-only, so the replay is idempotent and leaves
@@ -532,14 +521,15 @@ class Pool:
             sel_s0, heap_s0 = self._p_select_s, self._p_heap_s
         scheduler = self.scheduler
         queue = self.queue
-        batch_on = self._batch
         while self.idle and queue:
             npu = heapq.heappop(self.idle)
             nq = len(queue)
             if prof is not None:
                 t1 = perf_counter()
-            if not batch_on or queue.missing_entries:
-                chosen = scheduler.select(queue, now)
+            if queue.missing_entries:
+                # A request without a LUT entry: estimate-based policies
+                # must raise their usual error, so ask the spec.
+                chosen = scheduler.select_checked(queue, now)
                 batched = False
             elif nq == 1:
                 chosen = scheduler.select_single(queue, now)
@@ -550,15 +540,7 @@ class Pool:
             if prof is not None:
                 self._p_select_s += perf_counter() - t1
                 self._p_select_c += 1
-            if chosen not in queue:
-                raise SchedulingError(
-                    f"scheduler {scheduler.name!r} (pool {self.name!r}) "
-                    "selected a request outside the queue"
-                )
-            if batch_on:
-                queue.remove(chosen, requeue=True)
-            else:
-                queue.remove(chosen)
+            queue.remove(chosen, requeue=True)
             self._start_block(now, npu, chosen, nq, batched, push_event)
         if prof is not None:
             self._p_dispatch_s += ((perf_counter() - t_in)
@@ -664,7 +646,7 @@ class Pool:
 
         A caller passes ``push_event`` only when nothing else is due at
         ``now``: no arrival to admit, no other pool left undispatched.  If
-        the request would then be re-dispatched alone (a drain-safe batch
+        the request would then be re-dispatched alone (a drain-safe
         scheduler, an empty queue, ``npu`` neither draining nor above the
         lowest idle id), that forced decision is taken here: the next block
         starts on ``npu`` through the start half :meth:`dispatch` uses.  It
@@ -725,8 +707,7 @@ class Pool:
             self._p_execute_s += t0 - t_ex
             self._p_execute_c += 1
         if request.is_done:
-            if self._batch:
-                self.queue.forget(request.rid)
+            self.queue.forget(request.rid)
             self.scheduler.on_layer_complete(request, now)
             request.finish_time = now
             self.completed += 1
@@ -740,7 +721,7 @@ class Pool:
                     now, pool=self.name, npu=npu, rid=request.rid,
                 )
             return True
-        # Re-admit before the monitor callback so batch schedulers can
+        # Re-admit before the monitor callback so converted schedulers can
         # refresh the request's row (parked at dispatch, aux state intact).
         self.queue.append(request)
         self.scheduler.on_layer_complete(request, now)
@@ -757,10 +738,10 @@ def check_unique_names(pools: List[Pool]) -> None:
     names = [p.name for p in pools]
     if len(set(names)) != len(names):
         raise SchedulingError(f"pool names must be unique, got {names}")
-    # Schedulers carry per-run state (and, in batch mode, a binding to one
-    # pool's ready queue), so instances must not be shared between pools —
-    # a shared instance would score one pool's queue with another pool's
-    # cached state.
+    # Schedulers carry per-run state and a binding to one pool's ready
+    # queue, so instances must not be shared between pools — a shared
+    # instance would score one pool's queue with another pool's cached
+    # state.
     seen: Dict[int, str] = {}
     for pool in pools:
         owner = seen.setdefault(id(pool.scheduler), pool.name)

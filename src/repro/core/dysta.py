@@ -26,7 +26,7 @@ Fig 13 ablation: the dynamic hardware monitor and sparsity support are
 disabled, so remaining times fall back to the static LUT averages.
 
 **Vectorized fast path.**  The sparsity-refined remaining estimate only
-changes when a layer of that request completes, so in batch mode it is
+changes when a layer of that request completes, so on a bound queue it is
 computed once per monitor event (``on_layer_complete``) and cached in the
 ready queue's ``dysta_rem`` aux column instead of being re-derived for every
 queued request at every decision.  Besides the scalar ``dynamic_score``
@@ -76,7 +76,6 @@ class DystaScheduler(Scheduler):
     """
 
     name = "dysta"
-    supports_batch = True
     batch_columns = ("deadline", "last_run_end")
     single_drain_safe = True
     trivial_single = True  # select_single is queue[0] (no resident tracking)
@@ -369,7 +368,6 @@ class DystaStaticOnly(Scheduler):
     contribution of the dynamic level.
     """
 
-    supports_batch = True
     batch_columns = ()
     single_drain_safe = True
     trivial_single = True

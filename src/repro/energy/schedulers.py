@@ -69,7 +69,6 @@ class EnergyEDPScheduler(Scheduler):
             SJF.
     """
 
-    supports_batch = True
     batch_columns = ("arrival",)
     single_drain_safe = True
     trivial_single = False  # select_single updates the resident-weights key
@@ -209,10 +208,12 @@ class PowerCappedEDPScheduler(EnergyEDPScheduler):
     """
 
     # The rolling-window meter accumulates on every layer completion and the
-    # selection rule depends on it, so the vectorized shortcuts (cached
-    # scores, singleton drain, incremental selection) are disabled: the
-    # scalar reference path is the implementation.
-    supports_batch = False
+    # selection rule depends on it, so energy_edp's kernels, cached scores,
+    # singleton drain and incremental selection are all off: every decision
+    # is the checked spec, and no ready-queue state is kept.
+    select_single = select_batch = Scheduler.select_checked
+    bind_queue = Scheduler.bind_queue
+    on_arrival = Scheduler.on_arrival
     single_drain_safe = False
     supports_incremental = False
 

@@ -11,7 +11,7 @@ sparsities); only the Oracle may touch ground truth.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.lut import ModelInfoLUT
 from repro.errors import SchedulingError
@@ -31,26 +31,23 @@ _NO_JOURNAL: set = set()
 class Scheduler(abc.ABC):
     """Base class for all scheduling policies.
 
-    Policies implement the scalar :meth:`select`, which is the spec.
-    Converted policies opt into the vectorized fast path by setting
-    ``supports_batch = True`` and implementing two kernels over the engines'
-    :class:`~repro.sim.ready_queue.ReadyQueue` columns: :meth:`inc_best`
+    Policies implement the scalar :meth:`select`, which is the spec.  The
+    engines decide through :meth:`select_single` and :meth:`select_batch`
+    over their :class:`~repro.sim.ready_queue.ReadyQueue`.  Converted
+    policies back these with two kernels over its columns: :meth:`inc_best`
     (a loop over the list mirrors for a set of rows) and :meth:`np_scores`
-    (one numpy pass over the whole queue).  The shared :meth:`select_batch`
-    and :meth:`inc_full_scan` run on them; unconverted policies keep the
-    scalar path.  All paths must make bit-identical decisions (the golden
-    schedule-equivalence tests enforce it), which the kernels achieve by
-    replicating the scalar arithmetic operation-for-operation.
+    (one numpy pass over the whole queue), on which the shared
+    :meth:`select_batch` and :meth:`inc_full_scan` run; a policy without
+    kernels decides through :meth:`select_checked`.  All paths must make
+    bit-identical decisions (the golden schedule-equivalence tests enforce
+    it), which the kernels achieve by replicating the scalar arithmetic
+    operation-for-operation.
     """
 
     #: Registry / display name; subclasses override.
     name: str = "base"
 
-    #: Converted policies set True and implement :meth:`inc_best` and
-    #: :meth:`np_scores` (or override :meth:`select_batch` outright).
-    supports_batch: bool = False
-
-    #: Ready-queue columns the batch path reads (see
+    #: Ready-queue columns the kernels read (see
     #: :data:`repro.sim.ready_queue.KNOWN_COLUMNS`).
     batch_columns: Tuple[str, ...] = ()
 
@@ -115,8 +112,16 @@ class Scheduler(abc.ABC):
         self._bound: "ReadyQueue" = None  # type: ignore[assignment]
         self._cache = None
 
-    def bind_queue(self, queue: "ReadyQueue") -> None:
-        """Attach the engine's ready queue for this run (batch mode only).
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Decided once per class: no inc_best and no own select_batch.
+        if (cls.inc_best is Scheduler.inc_best
+                and cls.select_batch is Scheduler.select_batch):
+            cls.select_batch = Scheduler.select_checked
+
+    def bind_queue(self, queue: Optional["ReadyQueue"]) -> None:
+        """Attach the engine's ready queue for this run (``None`` from
+        :func:`~repro.sim.engine.simulate_reference`).
 
         Subclasses that keep per-request aux state register their columns
         here (and must call ``super().bind_queue(queue)``).  Policies that
@@ -170,17 +175,21 @@ class Scheduler(abc.ABC):
         cache.rebuild(score, now, pen_scale)
         return chosen
 
-    def select_single(self, queue: Sequence[Request], now: float) -> Request:
-        """Fast path for a singleton queue (batch mode).
+    def select_checked(self, queue: Sequence[Request], now: float) -> Request:
+        """:meth:`select`, checked to pick a member of ``queue``: how the
+        engines decide for a policy without kernels, and over a queue
+        holding a request the LUT lacks (LUT-driven policies then raise)."""
+        chosen = self.select(queue, now)
+        if chosen not in queue:
+            raise SchedulingError(
+                f"scheduler {self.name!r} selected a request outside the queue"
+            )
+        return chosen
 
-        The default defers to the full scalar path; converted policies
-        override it to return ``queue[0]`` directly (updating any per-select
-        state first), which must be decision- and state-equivalent.  The
-        cluster pool's same-accelerator continuation passes a one-element
-        tuple instead of the ready queue, so it must be treated as a plain
-        sequence.
-        """
-        return self.select(queue, now)
+    #: One-request selection; the default is the checked spec.  Converted
+    #: policies return ``queue[0]`` after any per-select state update.  The
+    #: pool's continuation passes a one-element tuple, not the ready queue.
+    select_single = select_checked
 
     def select_batch(self, queue: "ReadyQueue", now: float) -> Request:
         """Vectorized selection over the ready queue's columns: the
@@ -211,7 +220,12 @@ class Scheduler(abc.ABC):
     @abc.abstractmethod
     def select(self, queue: Sequence[Request], now: float) -> Request:
         """Choose the next request to run one layer of.  ``queue`` is
-        non-empty and every entry is unfinished."""
+        non-empty and every entry is unfinished.
+
+        The order of ``queue`` is unspecified (the ready queue swap-removes
+        rows), so a policy must break score ties explicitly; every
+        built-in policy ends its key in the unique rid.
+        """
 
     # -- shared estimate helpers -------------------------------------------
 

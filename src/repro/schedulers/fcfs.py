@@ -14,7 +14,6 @@ from repro.sim.request import Request
 class FCFSScheduler(Scheduler):
     """Run the earliest-arrived request to completion before the next one."""
 
-    supports_batch = True
     batch_columns = ("arrival",)
     single_drain_safe = True
     supports_incremental = True  # static key (arrival, rid): zero decay

@@ -26,7 +26,6 @@ class OracleScheduler(Scheduler):
         eta: Weight of the slack + penalty terms, as in Dysta.
     """
 
-    supports_batch = True
     batch_columns = ("true_remaining", "true_isolated", "deadline", "last_run_end")
     single_drain_safe = True
     trivial_single = True

@@ -8,10 +8,11 @@ Following the paper's setup (Sec 6.1), the candidate criterion is
 estimates come from the offline profile — PREMA assumes a *static* workload,
 which is precisely the limitation Dysta addresses.
 
-In batch mode the token state lives in ready-queue aux columns (kept in the
-parked row while a dispatched request runs its layer block on a pool), so
-token accumulation is one array expression instead of a dict crawl; the
-scalar path keeps the original dict-based bookkeeping.  Both accumulate at
+On an engine's ready queue the token state lives in aux columns (kept in
+the parked row while a dispatched request runs its layer block on a pool),
+so token accumulation is one array expression instead of a dict crawl;
+without a bound queue (the reference loop) the original dict-based
+bookkeeping runs.  Both accumulate at
 the same decision instants with the same arithmetic, so token trajectories
 — and therefore schedules — are identical.
 """
@@ -41,7 +42,6 @@ class PREMAScheduler(Scheduler):
             as the paper's workloads carry no per-task priority classes).
     """
 
-    supports_batch = True
     batch_columns = ("est_isolated", "est_remaining", "arrival", "priority")
     # Token accumulation happens per selection, so skipping singleton
     # boundaries would change the token trajectory: not drain-safe.
@@ -66,7 +66,7 @@ class PREMAScheduler(Scheduler):
     def on_arrival(self, request: Request, now: float) -> None:
         queue = self._bound
         if queue is not None:
-            # Batch mode: the aux columns are the only token store (the
+            # Bound queue: the aux columns are the only token store (the
             # scalar dicts would go permanently stale — select_batch never
             # accumulates them).
             i = queue.index_of(request)

@@ -30,7 +30,6 @@ class SDRM3Scheduler(Scheduler):
             tunable alpha; the paper tunes it per SDRM3's methodology).
     """
 
-    supports_batch = True
     batch_columns = ("est_remaining", "deadline", "arrival", "executed_time")
     single_drain_safe = True
     trivial_single = True

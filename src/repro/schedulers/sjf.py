@@ -28,7 +28,6 @@ from repro.sim.request import Request
 class SJFScheduler(Scheduler):
     """Shortest estimated-remaining-time first (static estimates)."""
 
-    supports_batch = True
     batch_columns = ("est_remaining", "arrival")
     single_drain_safe = True
     trivial_single = True

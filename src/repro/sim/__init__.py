@@ -5,9 +5,9 @@ Workloads (`WorkloadSpec`, lazy `iter_workload`, scenario streams) replay
 on a single time-shared NPU (:func:`simulate`) or a pool of identical NPUs
 behind one shared queue (:func:`simulate_multi`, a one-pool run of the
 cluster engine in :mod:`repro.cluster`).  Both engines share the vectorized
-scheduling core — the array-backed :class:`ReadyQueue` plus batch selection
-on converted schedulers, bit-identical to the scalar reference path — and
-report ANTT, SLO violation rate, STP and the p50/p95/p99
+scheduling core — the array-backed :class:`ReadyQueue` plus each policy's
+selection kernels, bit-identical to the list-queue spec
+:func:`repro.sim.engine.simulate_reference` — and report ANTT, SLO violation rate, STP and the p50/p95/p99
 normalized-turnaround tails via :func:`summarize`."""
 
 from repro.sim.request import Request

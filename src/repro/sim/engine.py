@@ -8,22 +8,17 @@ chance to preempt at each layer boundary, exactly as the Dysta hardware
 scheduler is triggered (Algorithm 2, line 6).  Arrivals are admitted at layer
 boundaries (the hardware scheduler cannot interrupt a running layer).
 
-Two execution paths share these semantics:
+The engine keeps the ready queue in a
+:class:`~repro.sim.ready_queue.ReadyQueue` and decides through the
+policy's ``select_single`` / ``select_batch`` (its kernels, or the checked
+``select`` for a policy without them).  When a lone request is the only
+work and no arrival is due, drain-safe schedulers run it for consecutive
+blocks without re-entering selection (each skipped boundary still counts
+as a scheduler invocation — the decision is forced).
 
-* the **scalar path** (``use_batch=False``, and the automatic fallback for
-  schedulers without batch support) keeps the ready queue as a plain list
-  and calls ``scheduler.select`` at every boundary — the reference
-  implementation;
-* the **vectorized path** (default for converted schedulers) backs the
-  queue with :class:`~repro.sim.ready_queue.ReadyQueue` and dispatches to
-  ``select_single`` / ``select_batch``; when a lone request is the only
-  work and no arrival is due, drain-safe schedulers run it for consecutive
-  blocks without re-entering selection (each skipped boundary still counts
-  as a scheduler invocation — the decision is forced).
-
-Both paths produce identical completion schedules for converted policies
-(golden equivalence tests), because the batch implementations replicate the
-scalar scoring arithmetic bit for bit.
+:func:`simulate_reference` is the same semantics as a plain loop over a
+list queue with ``select`` at every boundary: the spec the equivalence
+tests hold the engines to, bit for bit.
 """
 
 from __future__ import annotations
@@ -72,9 +67,9 @@ class SimResult:
     #: Largest ready-queue occupancy seen at any scheduling decision — the
     #: quantity the hardware scheduler's FIFO depth must cover (Sec 5.2.1).
     max_queue_length: int = 0
-    #: Decisions served by the vectorized fast path (select_single /
-    #: select_batch); 0 on the scalar path.  The CI perf smoke asserts this
-    #: is nonzero so the fast path cannot silently regress to the fallback.
+    #: Decisions served by ``select_single`` / ``select_batch`` (drained
+    #: boundaries included); only decisions over a queue holding a request
+    #: the LUT lacks go elsewhere, and :func:`simulate_reference` reports 0.
     num_batch_selects: int = 0
     metrics: dict = field(default_factory=dict)
 
@@ -146,14 +141,15 @@ def simulate(
     *,
     switch_cost: float = 0.0,
     block_size: int = 1,
-    use_batch: Optional[bool] = None,
     energy: Optional["EnergyAccountant"] = None,
     obs: Optional[Observability] = None,
 ) -> SimResult:
     """Run the full request stream to completion under ``scheduler``.
 
     Requests are mutated in place (progress + finish times) and returned in
-    completion order inside the result.  Their rids must be unique.
+    completion order inside the result.  Their rids must be unique.  Every
+    policy runs the one path described in the module docstring, and the
+    completion schedule is :func:`simulate_reference`'s, bit for bit.
 
     Args:
         energy: Optional :class:`~repro.energy.accounting.EnergyAccountant`;
@@ -169,10 +165,6 @@ def simulate(
             is "per-layer or per-layer-block" (Sec 4.2.2); 1 = per layer
             (default).  Larger blocks mean fewer scheduler invocations and
             coarser preemption points.
-        use_batch: ``None`` (default) uses the vectorized path when the
-            scheduler supports it; ``False`` forces the scalar reference
-            path; ``True`` behaves like ``None`` (unconverted schedulers
-            still fall back — the fast path is opt-in per policy).
         obs: Optional :class:`~repro.obs.Observability` bundle.  Tracing,
             telemetry and profiling are all passive — the schedule is
             bit-identical with or without them — and a fully-disabled
@@ -186,11 +178,7 @@ def simulate(
     scheduler.trace_bus = obs.bus if obs is not None else None
     prof = obs.profiler if obs is not None else None
     t_begin = perf_counter() if prof is not None else 0.0
-    if use_batch is not False and getattr(scheduler, "supports_batch", False):
-        result = _simulate_batch(pending, scheduler, switch_cost, block_size, obs)
-    else:
-        scheduler.bind_queue(None)
-        result = _simulate_scalar(pending, scheduler, switch_cost, block_size, obs)
+    result = _simulate_loop(pending, scheduler, switch_cost, block_size, obs)
     if prof is not None:
         prof.wall_s += perf_counter() - t_begin
     if obs is not None and obs.telemetry is not None:
@@ -204,8 +192,26 @@ def simulate(
     return result
 
 
-def _simulate_scalar(pending, scheduler, switch_cost, block_size, obs=None) -> SimResult:
-    """Reference scalar path: list-backed queue, ``select`` per boundary."""
+def simulate_reference(
+    requests: Sequence[Request],
+    scheduler: "Scheduler",
+    *,
+    switch_cost: float = 0.0,
+    block_size: int = 1,
+) -> SimResult:
+    """The schedule spec: :func:`simulate`'s semantics as a plain loop.
+
+    The ready queue is a list and ``scheduler.select`` runs at every block
+    boundary: no ready-queue columns, kernels, singleton drain or
+    observability.  :func:`simulate` and the cluster pools must reproduce
+    its completion schedule; the equivalence tests compare against it and
+    ``repro perf`` times it as the speedup denominator.
+    """
+    _validate(requests, switch_cost, block_size)
+    pending = sorted(requests, key=lambda r: (r.arrival, r.rid))
+    scheduler.reset()
+    scheduler.trace_bus = None
+    scheduler.bind_queue(None)
     queue: List[Request] = []
     completed: List[Request] = []
     now = 0.0
@@ -218,71 +224,31 @@ def _simulate_scalar(pending, scheduler, switch_cost, block_size, obs=None) -> S
     resident_request = None  # whose weights currently sit in the accelerator
     resident_key = None  # which (model, pattern) weights are resident
 
-    tracer = obs.bus if obs is not None else None
-    telem = obs.telemetry if obs is not None else None
-    prof = obs.profiler if obs is not None else None
-    c_completed = c_violations = None
-    if telem is not None:
-        telem.registry.gauge("queue_depth", lambda: len(queue))
-        c_completed = telem.registry.counter("completed")
-        c_violations = telem.registry.counter("violations")
-
     while i < n or queue:
-        if telem is not None:
-            telem.poll(now)
-        if prof is not None:
-            t0 = perf_counter()
         while i < n and pending[i].arrival <= now + _EPS:
             queue.append(pending[i])
             scheduler.on_arrival(pending[i], now)
-            if tracer is not None:
-                tracer.emit(KIND_ARRIVE, pending[i].arrival, rid=pending[i].rid)
             i += 1
-        if prof is not None:
-            prof.add(PHASE_ARRIVALS, perf_counter() - t0)
         if not queue:
             # Accelerator idle: fast-forward to the next arrival.
             now = pending[i].arrival
             continue
 
-        if prof is not None:
-            t0 = perf_counter()
         chosen = scheduler.select(queue, now)
-        if prof is not None:
-            prof.add(PHASE_SELECT, perf_counter() - t0)
         invocations += 1
         max_queue = max(max_queue, len(queue))
         if chosen not in queue:
             raise SchedulingError(
                 f"scheduler {scheduler.name!r} selected a request outside the queue"
             )
-        if tracer is not None:
-            tracer.emit(KIND_SELECT, now, rid=chosen.rid,
-                        args={"depth": len(queue)})
         if last_running is not None and chosen is not last_running and not last_running.is_done:
             preemptions += 1
         last_running = chosen
 
         if chosen.first_dispatch_time is None:
             chosen.first_dispatch_time = now
-            if tracer is not None:
-                tracer.emit(KIND_QUEUE, chosen.arrival, now - chosen.arrival,
-                            rid=chosen.rid)
-        elif (tracer is not None and chosen.next_layer > 0
-                and now > chosen.last_run_end):
-            # Stall span: the gap since this request's previous execute
-            # span ended (emitted retroactively — the stall length is only
-            # known once the request is re-dispatched).
-            tracer.emit(KIND_PREEMPT, chosen.last_run_end,
-                        now - chosen.last_run_end, npu=0, rid=chosen.rid)
-        if prof is not None:
-            t0 = perf_counter()
-        exec_start = now
         if chosen is not resident_request:
             if switch_cost > 0.0:
-                if tracer is not None:
-                    tracer.emit(KIND_SWITCH, now, switch_cost, npu=0,
-                                rid=chosen.rid, args={"key": chosen._key})
                 now += switch_cost
             resident_request = chosen
             if chosen._key != resident_key:
@@ -296,27 +262,12 @@ def _simulate_scalar(pending, scheduler, switch_cost, block_size, obs=None) -> S
             chosen.next_layer += 1
             chosen.executed_time += dt
         chosen.last_run_end = now
-        if prof is not None:
-            prof.add(PHASE_EXECUTE, perf_counter() - t0)
-        if tracer is not None:
-            tracer.emit(KIND_EXECUTE, exec_start, now - exec_start, npu=0,
-                        rid=chosen.rid,
-                        args={"layers": layers, "key": chosen._key})
         scheduler.on_layer_complete(chosen, now)
         if chosen.is_done:
             chosen.finish_time = now
             queue.remove(chosen)
             completed.append(chosen)
             scheduler.on_complete(chosen, now)
-            if tracer is not None:
-                tracer.emit(
-                    KIND_VIOLATE if chosen.violated else KIND_COMPLETE,
-                    now, rid=chosen.rid,
-                )
-            if c_completed is not None:
-                c_completed.inc()
-                if chosen.violated:
-                    c_violations.inc()
 
     return SimResult(
         requests=completed,
@@ -327,8 +278,8 @@ def _simulate_scalar(pending, scheduler, switch_cost, block_size, obs=None) -> S
     )
 
 
-def _simulate_batch(pending, scheduler, switch_cost, block_size, obs=None) -> SimResult:
-    """Vectorized path: array-backed queue, batch scoring, singleton drain."""
+def _simulate_loop(pending, scheduler, switch_cost, block_size, obs=None) -> SimResult:
+    """The event loop: array-backed queue, kernel scoring, singleton drain."""
     queue = ReadyQueue(scheduler.lut, columns=scheduler.batch_columns)
     scheduler.bind_queue(queue)
     drain_ok = scheduler.single_drain_safe
@@ -361,7 +312,7 @@ def _simulate_batch(pending, scheduler, switch_cost, block_size, obs=None) -> Si
     on_arrival = scheduler.on_arrival
     on_layer_complete = scheduler.on_layer_complete
     on_complete = scheduler.on_complete
-    select_scalar = scheduler.select
+    select_checked = scheduler.select_checked
     select_single = scheduler.select_single
     select_batch = scheduler.select_batch
     q_add = queue.add
@@ -390,13 +341,8 @@ def _simulate_batch(pending, scheduler, switch_cost, block_size, obs=None) -> Si
             t0 = perf_counter()
         if queue._missing:
             # A request without a LUT entry: estimate-based policies must
-            # raise their usual error, so take the scalar path (which also
-            # keeps the membership safety check for arbitrary selections).
-            chosen = select_scalar(queue, now)
-            if chosen not in queue:
-                raise SchedulingError(
-                    f"scheduler {scheduler.name!r} selected a request outside the queue"
-                )
+            # raise their usual error, so ask the spec.
+            chosen = select_checked(queue, now)
         elif nq == 1:
             chosen = queue._requests[0] if trivial_single else select_single(queue, now)
             batch_selects += 1

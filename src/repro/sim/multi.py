@@ -12,8 +12,11 @@ policy from the registry works unmodified.
 :class:`~repro.cluster.pool.Pool` named :data:`~repro.obs.bus.ENGINE_LANE`
 and replays the stream through :func:`~repro.cluster.engine.simulate_cluster`,
 so the pool's dispatch loop is the only implementation of these semantics.
-With ``num_accelerators=1`` the run is step-for-step identical to
-:func:`repro.sim.engine.simulate` (tested).  Observability follows the
+With ``num_accelerators=1`` the run makes the decisions of
+:func:`repro.sim.engine.simulate` in the same order (tested).  Finish times
+are bit-identical at ``block_size=1``; a larger block adds its summed
+latency once where ``simulate`` adds one layer at a time, so they can
+differ in the last bits.  Observability follows the
 cluster engine: every request emits one ``route`` instant on the trace
 bus, telemetry columns are the pool's ``engine_queue_depth`` /
 ``engine_busy_npus`` / ``engine_provisioned`` plus the ``shed`` counter,
@@ -42,7 +45,6 @@ def simulate_multi(
     num_accelerators: int = 2,
     switch_cost: float = 0.0,
     block_size: int = 1,
-    use_batch: Optional[bool] = None,
     energy: Optional["EnergyAccountant"] = None,
     obs: Optional[Observability] = None,
 ) -> SimResult:
@@ -60,8 +62,6 @@ def simulate_multi(
             engine).
         block_size: Scheduling granularity in layers, as in the single-NPU
             engine; 1 = per layer (default).
-        use_batch: ``None``/``True`` uses the vectorized path for schedulers
-            that support it; ``False`` forces the scalar reference path.
         energy: Optional energy accountant; adds ``energy_per_request`` /
             ``total_joules`` / ``edp`` to the result metrics (passive —
             the schedule is unchanged).
@@ -78,8 +78,7 @@ def simulate_multi(
     from repro.cluster.pool import Pool
 
     pool = Pool(ENGINE_LANE, scheduler, num_accelerators,
-                switch_cost=switch_cost, block_size=block_size,
-                use_batch=use_batch)
+                switch_cost=switch_cost, block_size=block_size)
     # Energy is summarized from the finished requests below rather than
     # metered per block inside the pool, which nothing here reads.
     run = simulate_cluster(requests, [pool], "round-robin", obs=obs)

@@ -9,7 +9,7 @@ state in parallel **numpy arrays** (plus plain-list mirrors for the small-
 queue fast path), maintained incrementally:
 
 * **O(1) swap-remove** — removing a request moves the tail entry into its
-  slot in every column; order is not preserved (no converted policy is
+  slot in every column; order is not preserved (no built-in policy is
   order-sensitive: every selection key ends in the unique rid).
 * **O(1) incremental updates** — arrival fills a row from the request's
   cached state; a layer completion refreshes only the affected row.
@@ -28,8 +28,8 @@ queue fast path), maintained incrementally:
   change journal and :attr:`~ReadyQueue.missing_entries`.
 
 The queue also implements the ``Sequence`` protocol over the live
-:class:`~repro.sim.request.Request` objects, so unconverted schedulers'
-scalar ``select(queue, now)`` works on it unmodified.
+:class:`~repro.sim.request.Request` objects, so a policy's scalar
+``select(queue, now)`` works on it unmodified.
 
 Numpy arrays are the single source of truth; list mirrors exist because at
 small queue depths (the common case at moderate load) a tight Python loop
@@ -112,7 +112,7 @@ class ReadyQueue(Sequence):
         self._missing = 0  # live requests without a LUT entry
         #: Change journal for the incremental selection cache: rids touched
         #: since the cache last rebuilt.  ``None`` until a cache attaches via
-        #: :meth:`enable_journal`, so unconverted setups pay nothing.
+        #: :meth:`enable_journal`, so runs without a cache pay nothing.
         self._journal: Optional[set] = None
         self._journal_all = True
 
@@ -174,8 +174,9 @@ class ReadyQueue(Sequence):
     def missing_entries(self) -> int:
         """Live requests whose (model, pattern) key is absent from the LUT.
 
-        When nonzero, the engines fall back to the scalar ``select`` so the
-        LUT-driven policies raise the same error they always did.
+        When nonzero, the engines decide through the policy's checked
+        ``select`` so the LUT-driven policies raise the same error they
+        always did.
         """
         return self._missing
 
@@ -411,8 +412,8 @@ class ReadyQueue(Sequence):
             parked[self.ls_rid[i]] = i
         return n
 
-    #: Engines call ``queue.append(...)`` on both list- and array-backed
-    #: queues; alias keeps the call sites uniform.
+    #: Pools admit with ``queue.append(...)``, so a plain list can stand in
+    #: for the queue (the tests' reference pool does).
     append = add
 
     def remove(self, request: Request, requeue: bool = False) -> None:

@@ -2,15 +2,19 @@
 
 These avoid profiling the full benchmark in every unit test: a hand-built
 two-model "zoo" with controlled latencies makes scheduler behaviour exactly
-predictable.
+predictable.  :class:`ReferencePool` is the pool spec the equivalence tests
+hold :class:`~repro.cluster.Pool` to.
 """
 
+import heapq
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cluster import Pool
 from repro.core.lut import ModelInfoLUT
+from repro.errors import SchedulingError
 from repro.profiling.trace import TraceSet
 from repro.sim.request import Request
 from repro.warehouse import COSTS_NAME, MANIFEST_NAME
@@ -105,3 +109,39 @@ def make_request(
 @pytest.fixture
 def request_factory():
     return make_request
+
+
+class _ListQueue(list):
+    """A plain-list ready queue; there are no parked rows to forget."""
+
+    def forget(self, rid):
+        pass
+
+
+class ReferencePool(Pool):
+    """The pool spec: a plain-list queue, ``select`` at every decision and
+    no same-accelerator continuation.
+
+    :class:`~repro.cluster.Pool` must reproduce its schedules, as
+    :func:`~repro.sim.engine.simulate` reproduces
+    :func:`~repro.sim.engine.simulate_reference`'s.
+    """
+
+    def reset(self):
+        super().reset()
+        self.scheduler.bind_queue(None)
+        self.queue = _ListQueue()
+        self._can_continue = False
+
+    def dispatch(self, now, push_event):
+        while self.idle and self.queue:
+            npu = heapq.heappop(self.idle)
+            nq = len(self.queue)
+            chosen = self.scheduler.select(self.queue, now)
+            if chosen not in self.queue:
+                raise SchedulingError(
+                    f"scheduler {self.scheduler.name!r} selected a request "
+                    "outside the queue"
+                )
+            self.queue.remove(chosen)
+            self._start_block(now, npu, chosen, nq, False, push_event)

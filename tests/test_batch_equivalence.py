@@ -1,14 +1,16 @@
-"""Golden schedule-equivalence tests: vectorized vs scalar selection.
+"""Golden schedule-equivalence tests: every engine against the reference.
 
-Every converted scheduler must produce an *identical completion schedule* —
+The engines run every policy on one path: the array-backed ready queue,
+with decisions through ``select_single``/``select_batch`` (a converted
+policy's kernels and singleton drain, or the checked ``select`` for a policy
+without kernels).  They must produce the *identical completion schedule* —
 same completion order, bit-identical finish times, same makespan/preemption/
-invocation counts — whether the engine runs the scalar reference path
-(``use_batch=False``) or the vectorized fast path (ready-queue columns +
-``select_single``/``select_batch``/singleton drain).  The batch
-implementations replicate the scalar arithmetic operation-for-operation, so
-these tests require exact equality, not approximation.
+invocation counts — as the list-queue references: ``simulate_reference``
+for ``simulate``, and the test-side ``ReferencePool`` for the pools.  The
+kernels replicate the scalar arithmetic operation-for-operation, so these
+tests require exact equality, not approximation.
 
-Covered: all converted policies, the fp16 score-quantization mode, the
+Covered: every registered policy, the fp16 score-quantization mode, the
 switch-cost-aware Dysta variant, switch_cost/block_size engine variants, the
 small-queue tight loop *and* the large-queue numpy path (forced via
 ``numpy_min_queue``), mixed attnn+cnn workloads on real profiled traces, the
@@ -28,11 +30,14 @@ from repro.energy import EnergyAccountant
 from repro.errors import SchedulingError
 from repro.core.lut import ModelInfoLUT
 from repro.obs import ListSink, Observability
+from repro.obs.bus import ENGINE_LANE
 from repro.profiling.profiler import benchmark_suite
-from repro.schedulers.base import make_scheduler
-from repro.sim.engine import simulate
+from repro.schedulers.base import available_schedulers, make_scheduler
+from repro.sim.engine import simulate, simulate_reference
 from repro.sim.multi import simulate_multi
 from repro.sim.workload import WorkloadSpec, generate_workload
+
+from conftest import ReferencePool
 
 #: Policies with a vectorized select (dysta_switchaware gets switch_cost).
 CONVERTED = (
@@ -65,6 +70,12 @@ def toy_workload(toy_traces, n=120, rate=150.0, seed=0):
     return generate_workload(toy_traces, spec)
 
 
+def reference_multi(requests, scheduler, *, num_accelerators=2, **kw):
+    """``simulate_multi`` on the reference pool."""
+    pool = ReferencePool(ENGINE_LANE, scheduler, num_accelerators, **kw)
+    return simulate_cluster(requests, [pool], "round-robin")
+
+
 def assert_identical(a, b):
     assert [r.rid for r in a.requests] == [r.rid for r in b.requests]
     assert [r.finish_time for r in a.requests] == [r.finish_time for r in b.requests]
@@ -77,21 +88,20 @@ def assert_identical(a, b):
 class TestSingleEngineEquivalence:
     @pytest.mark.parametrize("name", CONVERTED)
     def test_tight_loop_matches_scalar(self, toy_traces, toy_lut, name):
-        scalar = simulate(toy_workload(toy_traces), scheduler_for(name, toy_lut),
-                          use_batch=False)
-        batch = simulate(toy_workload(toy_traces), scheduler_for(name, toy_lut),
-                         use_batch=True)
+        scalar = simulate_reference(toy_workload(toy_traces),
+                                    scheduler_for(name, toy_lut))
+        batch = simulate(toy_workload(toy_traces), scheduler_for(name, toy_lut))
         assert_identical(scalar, batch)
         assert scalar.num_batch_selects == 0
-        assert batch.num_batch_selects > 0  # fast path actually engaged
+        assert batch.num_batch_selects > 0
 
     @pytest.mark.parametrize("name", CONVERTED)
     def test_numpy_path_matches_scalar(self, toy_traces, toy_lut, name):
-        scalar = simulate(toy_workload(toy_traces), scheduler_for(name, toy_lut),
-                          use_batch=False)
+        scalar = simulate_reference(toy_workload(toy_traces),
+                                    scheduler_for(name, toy_lut))
         sched = scheduler_for(name, toy_lut)
         sched.numpy_min_queue = 2  # force the numpy branch at any depth
-        batch = simulate(toy_workload(toy_traces), sched, use_batch=True)
+        batch = simulate(toy_workload(toy_traces), sched)
         assert_identical(scalar, batch)
 
     @pytest.mark.parametrize("name", ("dysta", "sjf", "prema"))
@@ -101,78 +111,110 @@ class TestSingleEngineEquivalence:
         {"switch_cost": 0.0005, "block_size": 2},
     ))
     def test_engine_variants(self, toy_traces, toy_lut, name, engine_kw):
-        scalar = simulate(toy_workload(toy_traces), scheduler_for(name, toy_lut),
-                          use_batch=False, **engine_kw)
+        scalar = simulate_reference(toy_workload(toy_traces),
+                                    scheduler_for(name, toy_lut), **engine_kw)
         batch = simulate(toy_workload(toy_traces), scheduler_for(name, toy_lut),
-                         use_batch=True, **engine_kw)
+                         **engine_kw)
         assert_identical(scalar, batch)
 
     def test_fp16_score_quantization(self, toy_traces, toy_lut):
         # The hardware scheduler computes scores in FP16 (Sec 5.2.2); the
         # vectorized path must quantize at the same points as the scalar one.
-        scalar = simulate(toy_workload(toy_traces),
-                          make_scheduler("dysta", toy_lut, score_dtype="fp16"),
-                          use_batch=False)
+        scalar = simulate_reference(
+            toy_workload(toy_traces),
+            make_scheduler("dysta", toy_lut, score_dtype="fp16"))
         batch = simulate(toy_workload(toy_traces),
-                         make_scheduler("dysta", toy_lut, score_dtype="fp16"),
-                         use_batch=True)
+                         make_scheduler("dysta", toy_lut, score_dtype="fp16"))
         assert_identical(scalar, batch)
 
     def test_switchaware_with_engine_switch_cost(self, toy_traces, toy_lut):
         kw = {"switch_cost": 0.002}
-        scalar = simulate(toy_workload(toy_traces),
-                          scheduler_for("dysta_switchaware", toy_lut),
-                          use_batch=False, **kw)
+        scalar = simulate_reference(toy_workload(toy_traces),
+                                    scheduler_for("dysta_switchaware", toy_lut),
+                                    **kw)
         batch = simulate(toy_workload(toy_traces),
-                         scheduler_for("dysta_switchaware", toy_lut),
-                         use_batch=True, **kw)
+                         scheduler_for("dysta_switchaware", toy_lut), **kw)
         assert_identical(scalar, batch)
-
-    def test_unconverted_policy_falls_back_transparently(self, toy_traces, toy_lut):
-        # planaria has no batch path: the engine must transparently run the
-        # scalar select and report zero batch selections.
-        result = simulate(toy_workload(toy_traces),
-                          make_scheduler("planaria", toy_lut))
-        assert result.num_batch_selects == 0
-        assert len(result.requests) == 120
 
 
 class TestMultiEngineEquivalence:
     @pytest.mark.parametrize("name", ("dysta", "prema", "sdrm3", "fcfs", "oracle"))
     def test_two_accelerators(self, toy_traces, toy_lut, name):
-        scalar = simulate_multi(toy_workload(toy_traces),
-                                scheduler_for(name, toy_lut),
-                                num_accelerators=2, use_batch=False)
+        scalar = reference_multi(toy_workload(toy_traces),
+                                 scheduler_for(name, toy_lut),
+                                 num_accelerators=2)
         batch = simulate_multi(toy_workload(toy_traces),
                                scheduler_for(name, toy_lut),
-                               num_accelerators=2, use_batch=True)
+                               num_accelerators=2)
         assert_identical(scalar, batch)
         assert batch.num_batch_selects > 0
 
     def test_switch_cost_and_blocks(self, toy_traces, toy_lut):
         kw = {"num_accelerators": 3, "switch_cost": 0.001, "block_size": 2}
-        scalar = simulate_multi(toy_workload(toy_traces),
-                                scheduler_for("dysta", toy_lut),
-                                use_batch=False, **kw)
+        scalar = reference_multi(toy_workload(toy_traces),
+                                 scheduler_for("dysta", toy_lut), **kw)
         batch = simulate_multi(toy_workload(toy_traces),
-                               scheduler_for("dysta", toy_lut),
-                               use_batch=True, **kw)
+                               scheduler_for("dysta", toy_lut), **kw)
         assert_identical(scalar, batch)
+
+
+def schedule(result):
+    """Completion schedule plus the decision counters, order-free."""
+    return (sorted((r.rid, r.finish_time) for r in result.requests),
+            result.num_preemptions, result.num_scheduler_invocations,
+            result.max_queue_length)
+
+
+class TestEveryPolicy:
+    @pytest.mark.parametrize("name", available_schedulers())
+    @pytest.mark.parametrize("block_size, switch_cost", ((1, 0.0), (2, 0.002)))
+    def test_engines_match_reference(self, toy_traces, toy_lut, name,
+                                     block_size, switch_cost):
+        kw = {"block_size": block_size, "switch_cost": switch_cost}
+
+        def run(engine, **extra):
+            return schedule(engine(toy_workload(toy_traces),
+                                   scheduler_for(name, toy_lut), **kw, **extra))
+
+        assert run(simulate) == run(simulate_reference)
+        for n in (1, 2):
+            assert (run(simulate_multi, num_accelerators=n)
+                    == run(reference_multi, num_accelerators=n))
+
+    @pytest.mark.parametrize("name", CONVERTED)
+    def test_converted_policies_never_call_select(self, toy_traces, toy_lut,
+                                                  name):
+        # Every request has a LUT entry, so each decision must come from the
+        # kernels; a policy that lost them would still pass the schedule
+        # checks above by running its spec.
+        for engine, kw in ((simulate, {}), (simulate_multi, {"num_accelerators": 2})):
+            sched = scheduler_for(name, toy_lut)
+            calls = []
+            spec = sched.select
+
+            def counting(queue, now):
+                calls.append(now)
+                return spec(queue, now)
+
+            sched.select = counting
+            result = engine(toy_workload(toy_traces), sched, **kw)
+            assert len(result.requests) == 120
+            assert calls == [], engine.__name__
 
 
 class TestClusterEquivalence:
     @pytest.mark.parametrize("name", ("dysta", "prema"))
     def test_pool_batch_matches_scalar(self, toy_traces, toy_lut, name):
-        def run(use_batch):
+        def run(pool_cls):
             reqs = toy_workload(toy_traces)
             pools = [
-                Pool("a", scheduler_for(name, toy_lut), 2, use_batch=use_batch),
-                Pool("b", scheduler_for(name, toy_lut), 1, use_batch=use_batch),
+                pool_cls("a", scheduler_for(name, toy_lut), 2),
+                pool_cls("b", scheduler_for(name, toy_lut), 1),
             ]
             return simulate_cluster(reqs, pools, "jsq")
 
-        scalar = run(False)
-        batch = run(None)
+        scalar = run(ReferencePool)
+        batch = run(Pool)
         assert {r.rid: r.finish_time for r in scalar.requests} == {
             r.rid: r.finish_time for r in batch.requests
         }
@@ -182,8 +224,8 @@ class TestClusterEquivalence:
         assert scalar.num_batch_selects == 0
 
     # A pool whose lone request finishes a block starts its next block on
-    # the same accelerator (Pool.complete_block); the scalar path never does,
-    # so it is the reference for the continuation's two invariants.
+    # the same accelerator (Pool.complete_block); the reference pool never
+    # does, so it is the reference for the continuation's two invariants.
 
     @pytest.mark.parametrize("name", ("dysta", "sjf", "fcfs", "energy_edp"))
     @pytest.mark.parametrize("seed", (0, 1))
@@ -201,17 +243,17 @@ class TestClusterEquivalence:
                                   sorted(r.rid for r in pool.queue)))
                 return None
 
-        def run(use_batch):
+        def run(pool_cls):
             admission = Recording()
             admission.seen = []
-            pool = Pool("a", scheduler_for(name, lut), 3, use_batch=use_batch)
+            pool = pool_cls("a", scheduler_for(name, lut), 3)
             spec = WorkloadSpec(9.0, n_requests=150, slo_multiplier=10.0, seed=seed)
             result = simulate_cluster(generate_workload(traces, spec), [pool],
                                       admission=admission)
             return admission.seen, result
 
-        scalar_seen, scalar = run(False)
-        batch_seen, batch = run(None)
+        scalar_seen, scalar = run(ReferencePool)
+        batch_seen, batch = run(Pool)
         assert batch.num_continued_blocks > 0
         assert scalar.num_continued_blocks == 0
         assert batch_seen == scalar_seen
@@ -225,9 +267,9 @@ class TestClusterEquivalence:
         traces, lut = mixed_world
         accountant = EnergyAccountant.from_model_lut(lut)
 
-        def run(use_batch):
-            pools = [Pool(p, scheduler_for(name, lut), 2, switch_cost=0.001,
-                          use_batch=use_batch) for p in ("a", "b")]
+        def run(pool_cls):
+            pools = [pool_cls(p, scheduler_for(name, lut), 2, switch_cost=0.001)
+                     for p in ("a", "b")]
             sink = ListSink()
             spec = WorkloadSpec(rate, n_requests=300, slo_multiplier=10.0, seed=1)
             result = simulate_cluster(
@@ -243,8 +285,8 @@ class TestClusterEquivalence:
                      for s in result.pool_stats.values()]
             return result, spans, stats
 
-        scalar, scalar_spans, scalar_stats = run(False)
-        batch, batch_spans, batch_stats = run(None)
+        scalar, scalar_spans, scalar_stats = run(ReferencePool)
+        batch, batch_spans, batch_stats = run(Pool)
         assert batch.num_continued_blocks > 0
         assert [(r.rid, r.finish_time) for r in batch.requests] == [
             (r.rid, r.finish_time) for r in scalar.requests
@@ -270,11 +312,7 @@ class TestClusterEquivalence:
         cell = ("multi_tenant", name, 2, config)
         _, batch = _run_cell(cell)
 
-        class ScalarPool(Pool):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, use_batch=False, **kwargs)
-
-        monkeypatch.setattr(repro.cluster, "Pool", ScalarPool)
+        monkeypatch.setattr(repro.cluster, "Pool", ReferencePool)
         _, scalar = _run_cell(cell)
         assert batch == scalar
 
@@ -300,10 +338,10 @@ class TestMixedFamilyWorkloads:
     def test_mixed_attnn_cnn_schedule_identical(self, mixed_world, name):
         traces, lut = mixed_world
         spec = WorkloadSpec(8.0, n_requests=80, slo_multiplier=10.0, seed=3)
-        scalar = simulate(generate_workload(traces, spec),
-                          scheduler_for(name, lut), use_batch=False)
+        scalar = simulate_reference(generate_workload(traces, spec),
+                                    scheduler_for(name, lut))
         batch = simulate(generate_workload(traces, spec),
-                         scheduler_for(name, lut), use_batch=True)
+                         scheduler_for(name, lut))
         assert_identical(scalar, batch)
 
 
@@ -330,9 +368,9 @@ class TestIncrementalEquivalence:
     @pytest.mark.parametrize("name", CONVERTED)
     def test_engine_schedule_identical(self, toy_traces, toy_lut, name):
         ref = simulate(toy_workload(toy_traces),
-                       brute(scheduler_for(name, toy_lut)), use_batch=True)
+                       brute(scheduler_for(name, toy_lut)))
         sched = cached(scheduler_for(name, toy_lut))
-        inc = simulate(toy_workload(toy_traces), sched, use_batch=True)
+        inc = simulate(toy_workload(toy_traces), sched)
         assert_identical(ref, inc)
         if sched.supports_incremental:
             assert sched._cache is not None and sched._cache.num_hits > 0
@@ -344,21 +382,17 @@ class TestIncrementalEquivalence:
     ))
     def test_engine_variants(self, toy_traces, toy_lut, name, engine_kw):
         ref = simulate(toy_workload(toy_traces),
-                       brute(scheduler_for(name, toy_lut)),
-                       use_batch=True, **engine_kw)
+                       brute(scheduler_for(name, toy_lut)), **engine_kw)
         inc = simulate(toy_workload(toy_traces),
-                       cached(scheduler_for(name, toy_lut)),
-                       use_batch=True, **engine_kw)
+                       cached(scheduler_for(name, toy_lut)), **engine_kw)
         assert_identical(ref, inc)
 
     def test_switchaware_with_engine_switch_cost(self, toy_traces, toy_lut):
         kw = {"switch_cost": 0.002}
         ref = simulate(toy_workload(toy_traces),
-                       brute(scheduler_for("dysta_switchaware", toy_lut)),
-                       use_batch=True, **kw)
+                       brute(scheduler_for("dysta_switchaware", toy_lut)), **kw)
         inc = simulate(toy_workload(toy_traces),
-                       cached(scheduler_for("dysta_switchaware", toy_lut)),
-                       use_batch=True, **kw)
+                       cached(scheduler_for("dysta_switchaware", toy_lut)), **kw)
         assert_identical(ref, inc)
 
     def test_fp16_opts_out_but_schedules_identically(self, toy_traces, toy_lut):
@@ -366,10 +400,9 @@ class TestIncrementalEquivalence:
         # batch path must still match the brute-force reference exactly.
         ref = simulate(toy_workload(toy_traces),
                        brute(make_scheduler("dysta", toy_lut,
-                                            score_dtype="fp16")),
-                       use_batch=True)
+                                            score_dtype="fp16")))
         sched = cached(make_scheduler("dysta", toy_lut, score_dtype="fp16"))
-        inc = simulate(toy_workload(toy_traces), sched, use_batch=True)
+        inc = simulate(toy_workload(toy_traces), sched)
         assert_identical(ref, inc)
         assert sched._cache is None
 
@@ -377,10 +410,10 @@ class TestIncrementalEquivalence:
     def test_multi_accelerator_identical(self, toy_traces, toy_lut, name):
         ref = simulate_multi(toy_workload(toy_traces),
                              brute(scheduler_for(name, toy_lut)),
-                             num_accelerators=2, use_batch=True)
+                             num_accelerators=2)
         sched = cached(scheduler_for(name, toy_lut))
         inc = simulate_multi(toy_workload(toy_traces), sched,
-                             num_accelerators=2, use_batch=True)
+                             num_accelerators=2)
         assert_identical(ref, inc)
         assert sched._cache is not None and sched._cache.num_hits > 0
 

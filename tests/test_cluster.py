@@ -1,9 +1,10 @@
 """Tests for the cluster tier: pools, routing, admission, streaming metrics.
 
 The anchor is the equivalence contract: one pool x one accelerator x an
-always-admit controller must reproduce the single-NPU engine step for step
-(mirroring the existing ``simulate_multi`` equivalence test), so the cluster
-engine is a strict generalization rather than a second simulator.
+always-admit controller must make the single-NPU engine's decisions in the
+same order, with bit-identical finish times at block size 1 (mirroring the
+``simulate_multi`` equivalence test), so the cluster engine is a strict
+generalization rather than a second simulator.
 """
 
 import inspect
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.lut import ModelInfoLUT
 from repro.errors import SchedulingError
-from repro.schedulers.base import make_scheduler
+from repro.schedulers.base import available_schedulers, make_scheduler
 from repro.sim.engine import simulate
 from repro.sim.workload import WorkloadSpec, generate_workload, iter_workload
 from repro.cluster import (
@@ -146,7 +147,7 @@ class TestValidation:
 class TestEngineEquivalence:
     """One pool x one accelerator x always-admit == the single-NPU engine."""
 
-    @pytest.mark.parametrize("scheduler_name", ["fcfs", "sjf", "planaria", "dysta"])
+    @pytest.mark.parametrize("scheduler_name", available_schedulers())
     @given(seed=st.integers(min_value=0, max_value=5000))
     @settings(max_examples=8, deadline=None)
     def test_single_pool_matches_engine(self, scheduler_name, seed):
@@ -156,14 +157,14 @@ class TestEngineEquivalence:
         pool = Pool("only", make_scheduler(scheduler_name, lut), 1)
         clustered = simulate_cluster(requests_b, [pool])
         assert [r.rid for r in single.requests] == [r.rid for r in clustered.requests]
-        assert [r.finish_time for r in single.requests] == pytest.approx(
-            [r.finish_time for r in clustered.requests]
-        )
+        assert [r.finish_time for r in single.requests] == [
+            r.finish_time for r in clustered.requests
+        ]
         assert single.num_preemptions == clustered.num_preemptions
         assert single.num_scheduler_invocations == clustered.num_scheduler_invocations
         assert single.max_queue_length == clustered.max_queue_length
-        assert single.antt == pytest.approx(clustered.antt)
-        assert single.p99 == pytest.approx(clustered.p99)
+        assert single.antt == clustered.antt
+        assert single.p99 == clustered.p99
 
     @given(seed=st.integers(min_value=0, max_value=5000))
     @settings(max_examples=6, deadline=None)
@@ -175,6 +176,9 @@ class TestEngineEquivalence:
         pool = Pool("only", make_scheduler("sjf", lut), 1,
                     switch_cost=0.003, block_size=2)
         clustered = simulate_cluster(requests_b, [pool])
+        # Approximate: the pool adds a block's summed latency once, while
+        # simulate adds one layer at a time, so finish times can differ in
+        # the last bits at block sizes above 1.
         assert [r.finish_time for r in single.requests] == pytest.approx(
             [r.finish_time for r in clustered.requests]
         )

@@ -10,7 +10,8 @@ from conftest import make_request
 
 
 class FirstInQueue(Scheduler):
-    """Trivially picks the first queue entry (queue order = arrival order)."""
+    """Trivially picks the first queue entry (queue order is unspecified, so
+    only order-free properties are asserted with it)."""
 
     name = "first"
 

@@ -120,10 +120,10 @@ class TestMultiAccelerator:
         pooled = simulate_multi(
             requests_b, make_scheduler(scheduler_name, lut), num_accelerators=1
         )
-        assert [r.finish_time for r in single.requests] == pytest.approx(
-            [r.finish_time for r in pooled.requests]
-        )
-        assert single.metrics["antt"] == pytest.approx(pooled.metrics["antt"])
+        assert [r.finish_time for r in single.requests] == [
+            r.finish_time for r in pooled.requests
+        ]
+        assert single.metrics["antt"] == pooled.metrics["antt"]
 
     def test_knob_validation(self, toy_lut):
         with pytest.raises(SchedulingError):
@@ -137,8 +137,8 @@ class TestMultiAccelerator:
     @given(seed=st.integers(min_value=0, max_value=5000))
     @settings(max_examples=6, deadline=None)
     def test_single_npu_pool_matches_engine_with_knobs(self, scheduler_name, seed):
-        """Feature parity: switch_cost + block_size behave exactly as in the
-        single-NPU engine when the pool has one accelerator."""
+        """Feature parity: switch_cost + block_size make the single-NPU
+        engine's decisions when the pool has one accelerator."""
         lut, requests_a = build_world(seed, n_models=2, n_requests=10)
         _, requests_b = build_world(seed, n_models=2, n_requests=10)
         single = simulate(requests_a, make_scheduler(scheduler_name, lut),
@@ -148,6 +148,9 @@ class TestMultiAccelerator:
             num_accelerators=1, switch_cost=0.003, block_size=2,
         )
         assert [r.rid for r in single.requests] == [r.rid for r in pooled.requests]
+        # Approximate: the pool adds a block's summed latency once, while
+        # simulate adds one layer at a time, so finish times can differ in
+        # the last bits at block sizes above 1.
         assert [r.finish_time for r in single.requests] == pytest.approx(
             [r.finish_time for r in pooled.requests]
         )
@@ -198,8 +201,8 @@ class TestMultiAccelerator:
 #: Recorded multi-NPU schedules on the toy world, keyed by policy and then
 #: (accelerators, switch cost, block size): a digest of the completion
 #: sequence plus invocations, preemptions and batch selects.  Unlike the
-#: scalar-vs-batch and traced-vs-untraced comparisons, fixed values catch a
-#: change that moves both sides of such a pair the same way.
+#: engine-vs-reference and traced-vs-untraced comparisons, fixed values
+#: catch a change that moves both sides of such a pair the same way.
 PINNED_SCHEDULES = {
     "dysta": {
         (2, 0.0, 1): ("850db5cc13e92691", 293, 22, 293),
@@ -242,14 +245,14 @@ PINNED_SCHEDULES = {
         (3, 0.002, 2): ("f47b361a3cd59770", 173, 19, 173),
     },
     "planaria": {
-        (2, 0.0, 1): ("59fdec334b864068", 293, 70, 0),
-        (2, 0.0, 2): ("f2c532548e38f8fa", 173, 32, 0),
-        (2, 0.002, 1): ("1a51df4b4bae7ca6", 293, 74, 0),
-        (2, 0.002, 2): ("36ed00986b01ace7", 173, 41, 0),
-        (3, 0.0, 1): ("a22c7c4c5da0c1f1", 293, 38, 0),
-        (3, 0.0, 2): ("49c72d4102ecb1aa", 173, 24, 0),
-        (3, 0.002, 1): ("a94e9c1526bc2a09", 293, 46, 0),
-        (3, 0.002, 2): ("266a88a410182419", 173, 27, 0),
+        (2, 0.0, 1): ("59fdec334b864068", 293, 70, 293),
+        (2, 0.0, 2): ("f2c532548e38f8fa", 173, 32, 173),
+        (2, 0.002, 1): ("1a51df4b4bae7ca6", 293, 74, 293),
+        (2, 0.002, 2): ("36ed00986b01ace7", 173, 41, 173),
+        (3, 0.0, 1): ("a22c7c4c5da0c1f1", 293, 38, 293),
+        (3, 0.0, 2): ("49c72d4102ecb1aa", 173, 24, 173),
+        (3, 0.002, 1): ("a94e9c1526bc2a09", 293, 46, 293),
+        (3, 0.002, 2): ("266a88a410182419", 173, 27, 173),
     },
     "energy_edp": {
         (2, 0.0, 1): ("c37bf61cde10b3c3", 293, 29, 293),
