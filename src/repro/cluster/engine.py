@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequ
 from repro.errors import SchedulingError
 from repro.obs import Observability
 from repro.obs.bus import KIND_ARRIVE, KIND_ROUTE, KIND_SCALE, KIND_SHED
+from repro.obs.metrics import earliest_reaching
 from repro.obs.profile import (
     PHASE_ARRIVALS,
     PHASE_EVENT_HEAP,
@@ -53,6 +54,7 @@ from repro.cluster.pool import Pool, check_unique_names
 from repro.cluster.routing import Router, make_router
 
 _EPS = 1e-12
+_INF = float("inf")
 
 # Event kinds on the cluster-wide heap (tiebroken by a unique counter, so
 # the kind itself is never compared).
@@ -308,6 +310,7 @@ def simulate_cluster(
         pool.reset()
         pool.bind_energy(energy)
         pool.bind_obs(tracer, prof)
+        pool.bind_router(router)
     router.reset(pools)
     track_work = router.tracks_work
     if autoscaler is not None:
@@ -389,6 +392,23 @@ def simulate_cluster(
 
     def push_control(time: float, kind: int, pool: Optional[Pool] = None) -> None:
         heapq.heappush(events, (time, next(counter), kind, pool, -1, None, 0, 0.0, 0))
+
+    def horizon() -> float:
+        """The earliest time anything but a continued block could happen.
+
+        A pool continuing a lone request folds a block ending at ``t`` in
+        place only below it (see :meth:`Pool.complete_block`), i.e. while
+        the block's event would pop next and change nothing else:
+        ``t < heap top`` (an event already queued at ``t`` pops first), no
+        arrival is due (``arrival > t + _EPS``, lone_ok's test) and
+        ``Telemetry.poll(t)`` samples nothing.
+        """
+        h = events[0][0] if events else _INF
+        if next_req is not None:
+            h = min(h, earliest_reaching(next_req.arrival, _EPS))
+        if telem is not None:
+            h = min(h, telem.next_poll_time)
+        return h
 
     # Run-level phase accumulators (flushed into the profiler once at the
     # end of the run: per-event ``PhaseProfiler.add`` calls would cost more
@@ -513,8 +533,10 @@ def simulate_cluster(
     skip_admit = False
     # True while every pool is dispatched to a fixed point and arm_wake has
     # nothing left to arm — i.e. the last event ran the full admit/dispatch
-    # tail.  Only then may a pool continue a lone request in place, since
-    # the continuation skips that tail.
+    # tail.  Only then may a pool continue a lone request on the same
+    # accelerator, since the continuation skips that tail.  Blocks it folds
+    # before the horizon skip the heap as well: the events they stand for
+    # would each have continued again with ``settled`` still True.
     settled = True
     while events:
         time, _, kind, pool, npu, req, layers, dt, epoch = heapq.heappop(events)
@@ -555,22 +577,23 @@ def simulate_cluster(
             pass
         else:
             # The pool may start the request's next block in place only
-            # when the skipped tail would have had nothing else to do.
+            # when the skipped tail would have had nothing else to do; it
+            # reads the horizon only once it has decided to continue.
             lone_ok = settled and (next_req is None or next_req.arrival > now + _EPS)
             done = pool.complete_block(now, npu, req, layers, dt,
                                        t_entry=t_seg if prof is not None else None,
-                                       push_event=push_event if lone_ok else None)
-            if track_work:
-                if prof is not None:
-                    t_rt = perf_counter()
-                if done:
-                    router.note_complete(pool, req)
-                else:
-                    router.note_progress(pool, req)
-                if prof is not None:
-                    p_route_s += perf_counter() - t_rt
-                    p_route_c += 1
+                                       push_event=push_event if lone_ok else None,
+                                       horizon=horizon)
             if done:
+                if track_work:
+                    # The pool reports unfinished blocks itself (it folds
+                    # some in place); completions are reported here.
+                    if prof is not None:
+                        t_rt = perf_counter()
+                    router.note_complete(pool, req)
+                    if prof is not None:
+                        p_route_s += perf_counter() - t_rt
+                        p_route_c += 1
                 if prof is not None:
                     t_met = perf_counter()
                 # Per-request joules fold into the streaming aggregates only
@@ -593,8 +616,9 @@ def simulate_cluster(
                     p_metrics_s += perf_counter() - t_met
                     p_metrics_c += 1
             elif done is None:
-                # Continued in place: no arrival is due, every other pool
-                # is settled and the wake is armed, so the tail is a no-op.
+                # Continued on the same accelerator: no arrival is due,
+                # every other pool is settled and the wake is armed, so the
+                # tail is a no-op.
                 if prof is not None:
                     t_heap = perf_counter()
                 continue

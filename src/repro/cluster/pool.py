@@ -33,7 +33,9 @@ streaming replays fast — per-decision work stays O(queue) arithmetic in
 numpy (or a tight loop at small depths) instead of O(queue) Python
 property/dict traffic.  When a block's request is alone and its next
 decision is forced, :meth:`Pool.complete_block` starts the next block on
-the same accelerator without the ready-queue round trip.
+the same accelerator without the ready-queue round trip, and folds the
+blocks that end before the engine's *horizon* in place, without the event
+heap.
 """
 
 from __future__ import annotations
@@ -145,6 +147,9 @@ class Pool:
         #: run (survive reset(); ``None`` disables emission).
         self._tracer = None
         self._prof = None
+        #: The bound router's ``note_progress`` when it tracks work (see
+        #: bind_router), else ``None``.
+        self._note_progress = None
         self.reset()
 
     # -- run state ----------------------------------------------------------
@@ -221,6 +226,12 @@ class Pool:
         self._p_execute_s = self._p_queue_s = 0.0
         self._p_select_c = self._p_dispatch_c = self._p_heap_c = 0
         self._p_execute_c = self._p_queue_c = 0
+
+    def bind_router(self, router) -> None:
+        """Attach the cluster run's router.  A work-tracking router hears of
+        every block the pool folds while the request is unfinished (the
+        engine reports enqueues and completions)."""
+        self._note_progress = router.note_progress if router.tracks_work else None
 
     def flush_profile(self) -> None:
         """Fold the accumulated phase deltas into the bound profiler."""
@@ -549,7 +560,8 @@ class Pool:
             self._p_dispatch_c += 1
 
     def _start_block(self, now: float, npu: int, chosen: Request, nq: int,
-                     batched: bool, push_event: Callable[..., None]) -> None:
+                     batched: bool, push_event: Optional[Callable[..., None]],
+                     ) -> Optional[Tuple[float, int, float]]:
         """Start half of the block lifecycle: run ``chosen`` on ``npu``.
 
         ``chosen`` was decided at queue depth ``nq`` and is already outside
@@ -557,7 +569,9 @@ class Pool:
         switches, charges the block's time, emits the select and execute
         spans and pushes the block-completion event.  Shared by
         :meth:`dispatch` and the same-accelerator continuation in
-        :meth:`complete_block`.
+        :meth:`complete_block`; the continuation passes no ``push_event``
+        and gets the block's ``(end, layers, dt)`` back, to fold in place
+        or push.
         """
         tracer = self._tracer
         self.invocations += 1
@@ -623,18 +637,37 @@ class Pool:
             tracer.emit(KIND_EXECUTE, now, (start + dt) - now,
                         pool=self.name, npu=npu, rid=chosen.rid,
                         args={"layers": layers, "key": chosen._key})
-        if self._prof is None:
+        if self._prof is None and push_event is not None:
             push_event(start + dt, self, npu, chosen, layers, dt)
+        elif push_event is None:
+            return start + dt, layers, dt
         else:
             t_push = perf_counter()
             push_event(start + dt, self, npu, chosen, layers, dt)
             self._p_heap_s += perf_counter() - t_push
             self._p_heap_c += 1
 
+    def _fold_block(self, now: float, npu: int, request: Request,
+                    layers: int, dt: float) -> None:
+        """Fold half of the block lifecycle: the block of ``layers`` that
+        ``request`` ran on ``npu`` ended at ``now``.  Shared by the block
+        event (:meth:`complete_block`) and the in-place continuation."""
+        if self._energy is not None:
+            self.joules_busy += self._energy.block_energy(
+                request, request.next_layer, layers, dt
+            )
+        request.next_layer += layers
+        request.executed_time += dt
+        request.last_run_end = now
+        # A continued npu is re-inserted too: float sums over pending()
+        # follow ``running``'s insertion order, which must match dispatch's.
+        del self.running[npu]
+
     def complete_block(self, now: float, npu: int, request: Request,
                        layers: int, dt: float,
                        t_entry: Optional[float] = None,
                        push_event: Optional[Callable[..., None]] = None,
+                       horizon: Optional[Callable[[], float]] = None,
                        ) -> Optional[bool]:
         """Fold one finished layer block back into the pool.
 
@@ -654,23 +687,23 @@ class Pool:
         ``on_layer_complete`` (which writes nothing while the request's row
         is parked; :meth:`fail_accelerators` repairs the parked row this
         leaves stale) and, for ``trivial_single`` policies,
-        ``select_single``.  The block event still goes through the caller's
-        heap.
+        ``select_single``.
+
+        ``horizon()`` is the earliest time anything else could happen (the
+        caller's heap top, next arrival and next telemetry sample, each
+        with the tie rule the caller's loop applies), read once the pool
+        has decided to continue.  A continued block that ends before it and
+        leaves the request unfinished is folded in place and the request
+        continues again, so a stretch of forced decisions costs one heap
+        event: the pool pushes the first block that ends at or past the
+        horizon or finishes the request.  Every block keeps its own fold,
+        decision, router ``note_progress``, counts, charges and spans, in
+        the order the heap would have produced them.
         """
         prof = self._prof
         if prof is not None:
             t_ex = t_entry if t_entry is not None else perf_counter()
-        # Fold half: the finished block's work lands on the request.
-        if self._energy is not None:
-            self.joules_busy += self._energy.block_energy(
-                request, request.next_layer, layers, dt
-            )
-        request.next_layer += layers
-        request.executed_time += dt
-        request.last_run_end = now
-        # A continued npu is re-inserted too: float sums over pending()
-        # follow ``running``'s insertion order, which must match dispatch's.
-        del self.running[npu]
+        self._fold_block(now, npu, request, layers, dt)
         if (push_event is not None and self._can_continue
                 and not self.queue._n
                 and request.next_layer < request._num_layers
@@ -681,12 +714,7 @@ class Pool:
                 self._p_execute_s += t0 - t_ex
                 self._p_execute_c += 1
                 heap_s0 = self._p_heap_s
-            if not self.scheduler.trivial_single:
-                # Per-select state (the current or resident request) must
-                # follow the forced decision exactly as a dispatch would.
-                self.scheduler.select_single((request,), now)
-            self.continued_blocks += 1
-            self._start_block(now, npu, request, 1, True, push_event)
+            self._continue(now, npu, request, push_event, horizon)
             if prof is not None:
                 self._p_dispatch_s += (perf_counter() - t0) - (self._p_heap_s - heap_s0)
                 self._p_dispatch_c += 1
@@ -725,10 +753,48 @@ class Pool:
         # refresh the request's row (parked at dispatch, aux state intact).
         self.queue.append(request)
         self.scheduler.on_layer_complete(request, now)
+        if self._note_progress is not None:
+            self._note_progress(self, request)
         if prof is not None:
             self._p_queue_s += perf_counter() - t0
             self._p_queue_c += 1
         return False
+
+    def _continue(self, now: float, npu: int, request: Request,
+                  push_event: Callable[..., None],
+                  horizon: Callable[[], float]) -> None:
+        """Run the lone ``request`` on ``npu`` from ``now``, folding in place
+        every block that ends before the horizon (see
+        :meth:`complete_block`), and push the first one that does not.
+
+        Nothing that the continuation conditions read can change before the
+        horizon: the queue gains no arrival, no autoscaler tick marks
+        ``npu`` draining and no other accelerator frees up, so each folded
+        block continues again.
+        """
+        until = horizon()
+        while True:
+            if not self.scheduler.trivial_single:
+                # Per-select state (the current or resident request) must
+                # follow the forced decision exactly as a dispatch would.
+                self.scheduler.select_single((request,), now)
+            self.continued_blocks += 1
+            end, layers, dt = self._start_block(now, npu, request, 1, True, None)
+            if end >= until or request.next_layer + layers >= request._num_layers:
+                break
+            if self._note_progress is not None:
+                self._note_progress(self, request)
+            now = end
+            self._fold_block(now, npu, request, layers, dt)
+        if self._prof is None:
+            push_event(end, self, npu, request, layers, dt)
+        else:
+            t_push = perf_counter()
+            push_event(end, self, npu, request, layers, dt)
+            self._p_heap_s += perf_counter() - t_push
+            self._p_heap_c += 1
+        if self._note_progress is not None:
+            self._note_progress(self, request)
 
 
 def check_unique_names(pools: List[Pool]) -> None:

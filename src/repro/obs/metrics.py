@@ -32,6 +32,22 @@ from repro.errors import ObservabilityError
 _EPS = 1e-9
 
 
+def earliest_reaching(target: float, eps: float) -> float:
+    """The least float ``t`` with ``t + eps >= target``.
+
+    ``t + eps < target`` then holds exactly when ``t`` is below the result,
+    which ``target - eps`` alone does not promise (both sums round).
+    """
+    if target == math.inf:
+        return target
+    t = target - eps
+    while t + eps < target:
+        t = math.nextafter(t, math.inf)
+    while (below := math.nextafter(t, -math.inf)) + eps >= target:
+        t = below
+    return t
+
+
 class Counter:
     """Monotone event tally."""
 
@@ -183,6 +199,11 @@ class Telemetry:
         self._next = 0.0
         self.times = []
         self.rows = []
+
+    @property
+    def next_poll_time(self) -> float:
+        """The earliest simulated time at which :meth:`poll` samples a row."""
+        return earliest_reaching(self._next, _EPS)
 
     def poll(self, now: float) -> None:
         """Sample every cadence point that ``now`` has reached or passed."""

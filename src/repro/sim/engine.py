@@ -441,6 +441,10 @@ def _simulate_loop(pending, scheduler, switch_cost, block_size, obs=None) -> Sim
                         rid=chosen.rid,
                         args={"layers": nl - nl_start, "key": chosen._key})
         if nl >= num_layers:
+            if telem is not None:
+                # Sample the grid points this block (or drained stretch)
+                # crossed before its completion counts: pre-event state.
+                telem.poll(now)
             chosen.finish_time = now
             queue.remove(chosen)
             completed.append(chosen)

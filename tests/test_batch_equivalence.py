@@ -37,7 +37,7 @@ from repro.sim.engine import simulate, simulate_reference
 from repro.sim.multi import simulate_multi
 from repro.sim.workload import WorkloadSpec, generate_workload
 
-from conftest import ReferencePool
+from conftest import ReferencePool, make_request
 
 #: Policies with a vectorized select (dysta_switchaware gets switch_cost).
 CONVERTED = (
@@ -51,6 +51,7 @@ CONVERTED = (
     "sdrm3",
     "oracle",
     "energy_edp",
+    "planaria",
 )
 
 
@@ -293,6 +294,74 @@ class TestClusterEquivalence:
         ]
         assert batch_stats == scalar_stats
         assert batch_spans == scalar_spans
+
+    # A continuation folds the blocks that end before the engine's horizon
+    # in place.  The horizon's next-arrival and heap-top terms are pinned
+    # by the full-stack tests above; the telemetry term and the heap top's
+    # tie rule need the two tests below.
+
+    @pytest.mark.parametrize("name", ("dysta", "sjf", "energy_edp"))
+    @pytest.mark.parametrize("num_npus", (1, 2))
+    def test_fold_stops_at_telemetry_samples(self, mixed_world, name, num_npus):
+        # Without an autoscaler no tick stops a stretch at a grid point, so
+        # only the telemetry term keeps a sample from reading the metered
+        # joules of blocks that end after it.
+        traces, lut = mixed_world
+        accountant = EnergyAccountant.from_model_lut(lut)
+
+        def run(pool_cls):
+            pool = pool_cls("p", scheduler_for(name, lut), num_npus)
+            obs = Observability(telemetry=0.05)
+            spec = WorkloadSpec(3.0, n_requests=150, slo_multiplier=10.0, seed=1)
+            result = simulate_cluster(generate_workload(traces, spec), [pool],
+                                      energy=accountant, obs=obs)
+            return result, obs.telemetry.to_table()
+
+        scalar, scalar_series = run(ReferencePool)
+        batch, batch_series = run(Pool)
+        assert batch.num_continued_blocks > 0
+        assert schedule(batch) == schedule(scalar)
+        assert "p_joules_busy" in batch_series
+        assert batch_series == scalar_series
+
+    def test_fold_stops_at_a_tied_heap_top(self, toy_lut):
+        # Two clones dispatched together end every block at the same time.
+        # An event already on the heap at a block's end pops first, so the
+        # second accelerator's block must not fold past the first's event.
+        def run(pool_cls):
+            requests = [make_request(rid=rid, model="long", slo=10.0,
+                                     latencies=(0.01,) * 3,
+                                     sparsities=(0.3,) * 3)
+                        for rid in (0, 1)]
+            sink = ListSink()
+            pool = pool_cls("p", scheduler_for("sjf", toy_lut), 2)
+            result = simulate_cluster(requests, [pool],
+                                      obs=Observability(sinks=[sink]))
+            return result, [(e.kind, e.time, e.dur, e.npu, e.rid, e.args)
+                            for e in sink.events]
+
+        scalar, scalar_spans = run(ReferencePool)
+        batch, batch_spans = run(Pool)
+        assert batch.num_continued_blocks == 4
+        assert schedule(batch) == schedule(scalar)
+        assert batch_spans == scalar_spans
+
+    def test_in_place_folds_skip_the_heap(self, monkeypatch, mixed_world):
+        # A lone request's blocks fold in place: fewer block events reach
+        # Pool.complete_block than blocks run.
+        traces, lut = mixed_world
+        calls = []
+        complete_block = Pool.complete_block
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.name)
+            return complete_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(Pool, "complete_block", counting)
+        spec = WorkloadSpec(3.0, n_requests=100, slo_multiplier=10.0, seed=1)
+        result = simulate_cluster(generate_workload(traces, spec),
+                                  [Pool("p", scheduler_for("dysta", lut), 1)])
+        assert 0 < len(calls) < result.num_scheduler_invocations
 
     @pytest.mark.parametrize("name", ("dysta", "energy_edp"))
     def test_faulted_sweep_cell_matches_scalar(self, monkeypatch, name):

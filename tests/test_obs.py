@@ -58,7 +58,8 @@ from repro.obs import (
     to_chrome_trace,
 )
 from repro.obs.chrome import CONTROL_TID, QUEUE_TID
-from repro.schedulers.base import make_scheduler
+from repro.profiling.profiler import benchmark_suite
+from repro.schedulers.base import available_schedulers, make_scheduler
 from repro.sim.engine import simulate
 from repro.sim.multi import simulate_multi
 from repro.sim.workload import WorkloadSpec, generate_workload
@@ -627,7 +628,44 @@ class TestChromeExport:
         assert n == 3
 
 
+@pytest.fixture(scope="module")
+def attnn_world():
+    """Profiled attnn traces (module-cached: profiling is the cost)."""
+    traces = dict(benchmark_suite("attnn", n_samples=40, seed=0))
+    return traces, ModelInfoLUT(traces)
+
+
+#: Policies whose lone requests the engines drain (single engine) or fold
+#: in place (pools): a stretch of blocks crosses grid points unpolled.
+DRAIN_SAFE = tuple(name for name in available_schedulers()
+                   if make_scheduler(name, toy_world()[1]).single_drain_safe)
+
+
 class TestEngineTelemetry:
+    @pytest.mark.parametrize("engine", ("simulate", "one_npu_pool"))
+    @pytest.mark.parametrize("name", DRAIN_SAFE)
+    def test_counters_read_pre_event_state(self, attnn_world, name, engine):
+        # A row at grid time t counts the requests whose completion came
+        # before the poll that sampled t: those finishing before
+        # t - 1e-9 (Telemetry.poll's tolerance).  A drained stretch that
+        # crosses t must not count a completion that lands after it.
+        traces, lut = attnn_world
+        requests = generate_workload(traces,
+                                     WorkloadSpec(3.0, n_requests=120, seed=1))
+        obs = Observability(telemetry=0.05)
+        if engine == "simulate":
+            simulate(requests, make_scheduler(name, lut), obs=obs)
+        else:
+            simulate_cluster(requests, [Pool("p", make_scheduler(name, lut), 1)],
+                             obs=obs)
+        table = obs.telemetry.to_table()
+        assert len(table["t"]) > 100
+        for t, completed, violations in zip(table["t"], table["completed"],
+                                            table["violations"]):
+            done = [r for r in requests if not t <= r.finish_time + 1e-9]
+            assert (completed, violations) == (
+                len(done), sum(r.violated for r in done)), t
+
     def test_single_engine_series(self):
         traces, lut, spec = toy_world(slo=1.2)
         obs = Observability(telemetry=0.05)

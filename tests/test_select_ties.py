@@ -14,7 +14,13 @@ would.  Four paths must agree for every incremental policy:
   ``numpy_min_queue=0``);
 * the selection cache (``inc_min_queue=0``): a full scan, then lookups
   answered from the ladder through ``inc_best``.
+
+Planaria has no cache, so its exact ties (equal slack, a request exactly on
+the feasibility boundary, a queue with no feasible request) are checked on
+the first three paths.
 """
+
+import math
 
 import pytest
 
@@ -120,3 +126,72 @@ def test_all_rows_tied(toy_lut, name, order):
 def test_score_tied_with_mixed_arrivals(toy_lut, name, order):
     picks = picks_on_every_path(name, toy_lut, ORDERS[order], MIXED_ARRIVALS)
     assert picks == [102 if name in ARRIVAL_FIRST else 101] * 4
+
+
+# -- Planaria: lexicographic minimum of (infeasible, slack, rid) -------------
+
+
+def planaria_requests(deadlines):
+    """One ``short`` request per ``rid: deadline`` (all arrive at 0.0)."""
+    requests = []
+    for rid, deadline in deadlines.items():
+        request = make_request(rid=rid, arrival=0.0, slo=deadline)
+        assert request.deadline == deadline
+        requests.append(request)
+    return requests
+
+
+def planaria_picks(toy_lut, deadlines, order):
+    """Selected rid per path: (spec, list kernel, numpy kernel)."""
+    picks = [make_scheduler("planaria", toy_lut).select(
+        planaria_requests(deadlines), NOW).rid]
+    for attrs in ({}, {"numpy_min_queue": 0}):
+        sched = scheduler_for("planaria", toy_lut, **attrs)
+        queue = ReadyQueue(toy_lut, columns=sched.batch_columns)
+        sched.bind_queue(queue)
+        assert sched._cache is None
+        by_rid = {r.rid: r for r in planaria_requests(deadlines)}
+        for rid in order:
+            queue.add(by_rid[rid])
+        picks.append(sched.select_batch(queue, NOW).rid)
+    return picks
+
+
+def short_remaining(toy_lut):
+    request = make_request()
+    return make_scheduler("planaria", toy_lut).estimated_remaining(request)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_planaria_equal_slack_breaks_on_rid(toy_lut, order):
+    # Every row is feasible with one slack; a later deadline pair loses.
+    rem = short_remaining(toy_lut)
+    deadlines = dict.fromkeys(ORDERS[order], NOW + rem + 0.5)
+    deadlines[101] = deadlines[102] = NOW + rem + 0.75
+    assert planaria_picks(toy_lut, deadlines, ORDERS[order]) == [103] * 3
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_planaria_feasibility_boundary(toy_lut, order):
+    # ``now + rem == deadline`` is feasible, so 104 beats 103, which misses
+    # by one ulp and has the least slack; 105 and 106 are feasible with
+    # more slack, 101 and 102 are far past their deadlines.
+    rem = short_remaining(toy_lut)
+    boundary = NOW + rem
+    deadlines = {104: boundary, 103: math.nextafter(boundary, 0.0),
+                 105: boundary + 0.25, 106: boundary + 0.25,
+                 101: 0.125, 102: 0.125}
+    assert NOW + rem <= deadlines[104]
+    assert not NOW + rem <= deadlines[103]
+    assert deadlines[103] - NOW - rem < deadlines[104] - NOW - rem
+    assert planaria_picks(toy_lut, deadlines, ORDERS[order]) == [104] * 3
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_planaria_every_request_infeasible(toy_lut, order):
+    # No feasible row: the least slack wins, ties on rid.
+    rem = short_remaining(toy_lut)
+    deadlines = {106: 0.25, 105: 0.125, 104: 0.125, 103: 0.5,
+                 102: 0.25, 101: 0.375}
+    assert all(not NOW + rem <= d for d in deadlines.values())
+    assert planaria_picks(toy_lut, deadlines, ORDERS[order]) == [104] * 3
