@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.bench.figures import render_table
 from repro.core.lut import ModelInfoLUT
-from repro.energy import EnergyAccountant, EnergyLUT
+from repro.energy import EnergyAccountant
 from repro.profiling.profiler import benchmark_suite
 from repro.scenarios import SweepConfig, build_scenario, generate_scenario, run_sweep
 from repro.schedulers.base import make_scheduler
@@ -45,12 +45,9 @@ SAMPLES = 100 if SMOKE else N_PROFILE
 
 def bench_ext_energy(benchmark):
     def run():
-        from repro.energy.schedulers import ENERGY_SCHEDULERS
-
         traces = benchmark_suite("attnn", n_samples=SAMPLES, seed=0)
         lut = ModelInfoLUT(traces)
-        energy_lut = EnergyLUT.from_model_lut(lut)
-        accountant = EnergyAccountant(energy_lut)
+        accountant = EnergyAccountant.from_model_lut(lut)
         results = {}
         for scenario in SCENARIOS:
             spec = build_scenario(scenario, base_rate=BASE_RATE,
@@ -58,10 +55,7 @@ def bench_ext_energy(benchmark):
             for seed in SEEDS:
                 for name in SCHEDULERS:
                     requests = generate_scenario(traces, spec, seed=seed)
-                    kwargs = ({"energy_lut": energy_lut}
-                              if name in ENERGY_SCHEDULERS else {})
-                    res = simulate(requests,
-                                   make_scheduler(name, lut, **kwargs),
+                    res = simulate(requests, make_scheduler(name, lut),
                                    energy=accountant)
                     results[(scenario, seed, name)] = {
                         "edp": res.edp,

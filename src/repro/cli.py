@@ -686,10 +686,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         if not isinstance(doc, dict):
             raise ReproError(f"{args.replay}: expected a JSON object")
         rep = doc if "genome" in doc else (doc.get("minimized") or doc.get("worst"))
-        if not isinstance(rep, dict):
+        if not isinstance(rep, dict) or not isinstance(rep.get("score"), (int, float)):
             raise ReproError(
                 f"{args.replay}: no reproducer found (expected a 'genome' "
-                "or a 'minimized'/'worst' entry)")
+                "or a 'minimized'/'worst' entry, with a numeric 'score')")
         outcome = replay(rep)
         match = outcome["score"] == rep["score"]
         print(f"replayed {args.replay}: score {outcome['score']:.6f} "
@@ -712,7 +712,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         pool_size=args.pool_size,
         block_size=args.block_size,
         switch_cost=args.switch_cost,
-        router=args.router,
         max_queue_depth=args.max_queue_depth,
         max_fault_events=args.max_fault_events,
         minimize=not args.no_minimize,
@@ -770,14 +769,10 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         rate = sum(BASE_ARRIVAL_RATE[family] for family in args.families)
     spec = WorkloadSpec(arrival_rate=rate, n_requests=args.requests,
                         slo_multiplier=args.slo, seed=args.seed)
-    from repro.energy.schedulers import ENERGY_SCHEDULERS
-
     sched_rows = {}
     for name in args.schedulers:
         requests = generate_workload(traces, spec)
-        kwargs = ({"energy_lut": energy_lut}
-                  if name in ENERGY_SCHEDULERS else {})
-        result = simulate(requests, make_scheduler(name, lut, **kwargs),
+        result = simulate(requests, make_scheduler(name, lut),
                           switch_cost=args.switch_cost, energy=accountant)
         sched_rows[name] = {
             "edp_mjs": 1e3 * result.edp,
@@ -1375,9 +1370,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="profiling samples per (model, pattern)")
     p_fuzz.add_argument("--pool-size", type=int, default=2,
                         help="accelerators in the evaluated cluster pool")
-    p_fuzz.add_argument("--router", default="round-robin",
-                        choices=available_routers(),
-                        help="cluster router for candidate evaluations")
     p_fuzz.add_argument("--max-queue-depth", type=int, default=None,
                         help="admission queue-depth limit during evaluations")
     p_fuzz.add_argument("--max-fault-events", type=int, default=4,

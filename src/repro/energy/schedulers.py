@@ -51,11 +51,6 @@ _AUX_PENALTY = "edp_pen"  # weight-load penalty in weighted seconds (per key)
 _AUX_KID = "edp_kid"      # small-integer id of the request's key
 _MIN_POWER = 1e-12
 
-#: Registry names that accept an ``energy_lut`` kwarg — callers holding a
-#: compiled :class:`EnergyLUT` pass it through ``make_scheduler`` instead
-#: of letting each instance recompile its own.
-ENERGY_SCHEDULERS = ("energy_edp", "energy_powercap")
-
 
 @register_scheduler("energy_edp")
 class EnergyEDPScheduler(Scheduler):

@@ -8,8 +8,8 @@ Three layers, each usable on its own:
 * :mod:`repro.scenarios.spec` — ``ScenarioSpec``: named phases (shape x
   duration x SLO/priority/model mix) stitched into one lazy request stream
   that drives every simulation engine;
-* :mod:`repro.scenarios.runner` — a multiprocessing sweep over the
-  scenario x scheduler x seed grid with a resumable JSON results store;
+* :mod:`repro.scenarios.runner` — the cell runner the fuzzer shares, and a
+  multiprocessing sweep of it into a resumable warehouse directory;
 * :mod:`repro.scenarios.fuzz` — adversarial scenario search: a seeded
   hill-climb over traffic shapes and fault timelines that returns the
   violation-rate- (or EDP-) maximizing scenario plus a minimized

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import FaultError, SchedulingError
+from repro.errors import FaultError
 from repro.faults.spec import (
     FaultSpec,
     KIND_REVOKE,
@@ -35,17 +35,13 @@ from repro.faults.spec import (
     sample_fault_spec,
 )
 from repro.scenarios.runner import (
-    _DEFAULT_BASE_RATE,
+    SweepConfig,
     _profiled_suite,
+    run_cell,
     workload_seed,
 )
 from repro.scenarios.shapes import Constant, Spike, Superpose
-from repro.scenarios.spec import (
-    Phase,
-    ScenarioSpec,
-    build_scenario,
-    generate_scenario,
-)
+from repro.scenarios.spec import Phase, ScenarioSpec, build_scenario
 
 #: Objectives the fuzzer can maximize.
 OBJECTIVES = ("violation_rate", "edp")
@@ -66,15 +62,40 @@ _PARAM_BOUNDS: Dict[str, Tuple[float, float, float]] = {
 
 _PARAM_NAMES = tuple(sorted(_PARAM_BOUNDS))
 
+#: The reproducer ``config`` fields that become :class:`SweepConfig` run
+#: knobs, with the JSON types a replay accepts for each.
+_RUN_KNOBS: Dict[str, Tuple[type, ...]] = {
+    "family": (str,), "base_rate": (int, float), "duration": (int, float),
+    "slo_multiplier": (int, float), "n_profile_samples": (int,),
+    "pool_size": (int,), "block_size": (int,), "switch_cost": (int, float),
+    "max_queue_depth": (int, type(None)),
+}
+
+#: Every reproducer ``config`` field a replay reads.
+_CONFIG_FIELDS = {"scheduler": (str,), "seed": (int,), "objective": (str,),
+                  "workload_seed": (int,), **_RUN_KNOBS}
+
+
+def _grid(cfg: Dict) -> SweepConfig:
+    """The fuzzer's evaluation setup as a sweep grid: its cells are the
+    baselines, and every candidate runs under its run knobs."""
+    return SweepConfig(
+        scenarios=("steady", "flash_crowd"), schedulers=(cfg["scheduler"],),
+        seeds=(cfg["seed"],), engine="cluster",
+        energy=cfg["objective"] == "edp",
+        **{key: cfg[key] for key in _RUN_KNOBS},
+    )
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
     """Everything that affects a fuzz run's numbers.
 
-    The search shares the sweep runner's workload machinery: cells run on
-    the cluster engine against one pool of ``pool_size`` accelerators, and
-    the candidate workload seed derives from ``seed`` only — never from
-    the worker process — so results are bit-identical for any ``workers``.
+    The search runs on the sweep runner's cells: every candidate is a
+    :func:`~repro.scenarios.runner.run_cell` on the cluster engine against
+    one pool of ``pool_size`` accelerators, and the candidate workload
+    seed derives from ``seed`` only — never from the worker process — so
+    results are bit-identical for any ``workers``.
     """
 
     scheduler: str
@@ -89,7 +110,6 @@ class FuzzConfig:
     pool_size: int = 2
     block_size: int = 1
     switch_cost: float = 0.0
-    router: str = "round-robin"
     max_queue_depth: Optional[int] = None
     #: Candidates evaluated per hill-climb generation.
     generation_size: int = 8
@@ -100,48 +120,25 @@ class FuzzConfig:
     minimize: bool = True
 
     def __post_init__(self) -> None:
-        from repro.schedulers.base import available_schedulers
-
-        if self.scheduler not in available_schedulers():
-            raise SchedulingError(
-                f"unknown scheduler {self.scheduler!r}; available: "
-                f"{available_schedulers()}"
-            )
         if self.budget < 1:
             raise FaultError(f"budget must be >= 1, got {self.budget}")
         if self.objective not in OBJECTIVES:
             raise FaultError(
                 f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
             )
-        if self.family not in _DEFAULT_BASE_RATE:
-            raise SchedulingError(
-                f"family must be one of {sorted(_DEFAULT_BASE_RATE)}, "
-                f"got {self.family!r}"
-            )
-        if self.duration <= 0:
-            raise FaultError(f"duration must be positive, got {self.duration}")
-        if self.base_rate is not None and self.base_rate <= 0:
-            raise FaultError(f"base rate must be positive, got {self.base_rate}")
-        if self.pool_size < 1:
-            raise FaultError(f"pool size must be >= 1, got {self.pool_size}")
         if self.generation_size < 1 or self.mutants_per_generation < 0:
             raise FaultError("generation sizes must be sensible (>= 1 / >= 0)")
         if self.max_fault_events < 1:
             raise FaultError(
                 f"max_fault_events must be >= 1, got {self.max_fault_events}"
             )
-
-    @property
-    def rate(self) -> float:
-        """Effective base arrival rate (family default when unset)."""
-        return (self.base_rate if self.base_rate is not None
-                else _DEFAULT_BASE_RATE[self.family])
+        _grid(asdict(self))  # the one validator of the run knobs
 
     def eval_dict(self) -> Dict:
         """The evaluation-relevant fields as a plain JSON-stable dict — the
         ``config`` block embedded in every reproducer."""
         out = asdict(self)
-        out["base_rate"] = self.rate
+        out["base_rate"] = _grid(out).rate
         out["workload_seed"] = workload_seed("fuzz", self.seed)
         # Search-only knobs don't affect a single evaluation.
         for key in ("budget", "generation_size", "mutants_per_generation",
@@ -239,58 +236,24 @@ def _evaluate(genome: Dict, cfg: Dict,
     Pure and deterministic: the same ``(genome, cfg)`` always produces the
     same numbers, whatever process runs it.
     """
-    from repro.cluster import AdmissionController, Pool, simulate_cluster
-    from repro.core.lut import ModelInfoLUT
-    from repro.schedulers.base import make_scheduler
-
-    traces = _profiled_suite(cfg["family"], cfg["n_profile_samples"])
+    grid = _grid(cfg)
     if scenario is None:
         scenario = _scenario_from_genome(genome, cfg)
     if wseed is None:
         wseed = cfg["workload_seed"]
-    requests = generate_scenario(traces, scenario, seed=wseed)
-    lut = ModelInfoLUT(traces)
-    accountant = None
-    scheduler_kwargs = {}
-    if cfg["objective"] == "edp":
-        from repro.energy import EnergyAccountant
-        from repro.energy.schedulers import ENERGY_SCHEDULERS
-
-        accountant = EnergyAccountant.from_model_lut(lut)
-        if cfg["scheduler"] in ENERGY_SCHEDULERS:
-            scheduler_kwargs["energy_lut"] = accountant.energy_lut
-    if not requests:
+    faults = FaultSpec.from_dicts(genome["faults"]) if genome["faults"] else None
+    cell = run_cell(grid, cfg["scheduler"], scenario, wseed, faults)
+    if cell is None:
         # A genome that generates no traffic scores worst, not an error.
         return {"score": float("-inf"), "n_requests": 0}
-    pool = Pool(
-        "pool", make_scheduler(cfg["scheduler"], lut, **scheduler_kwargs),
-        cfg["pool_size"],
-        block_size=cfg["block_size"], switch_cost=cfg["switch_cost"],
-    )
-    admission = None
-    if cfg["max_queue_depth"] is not None:
-        admission = AdmissionController(max_queue_depth=cfg["max_queue_depth"])
-    spec = FaultSpec.from_dicts(genome["faults"]) if genome["faults"] else None
-    result = simulate_cluster(
-        requests, [pool], cfg["router"],
-        admission=admission, energy=accountant,
-        faults=spec if spec else None,
-    )
-    out = {
-        "score": float(result.metrics[cfg["objective"]]),
-        "n_requests": len(requests),
-        "makespan": float(result.makespan),
-        "violation_rate": float(result.violation_rate),
-        "antt": float(result.antt),
-        "p99": float(result.p99),
-        "num_shed": float(result.num_shed),
-        "num_faults": float(result.metrics.get("num_faults", 0.0)),
-        "requests_requeued_by_fault": float(
-            result.metrics.get("requests_requeued_by_fault", 0.0)
-        ),
-    }
-    if accountant is not None:
-        out["edp"] = float(result.edp)
+    out = {key: cell[key] for key in ("n_requests", "makespan",
+                                      "violation_rate", "antt", "p99")}
+    out["score"] = cell[cfg["objective"]]
+    out["num_shed"] = float(cell["num_shed"])
+    for key in ("num_faults", "requests_requeued_by_fault"):
+        out[key] = cell.get(key, 0.0)
+    if grid.energy:
+        out["edp"] = cell["edp"]
     return out
 
 
@@ -304,11 +267,13 @@ def _eval_candidate(args: Tuple) -> Tuple[int, Dict]:
 def evaluate_named_scenario(name: str, config: FuzzConfig) -> Dict:
     """Baseline: a registry scenario under the fuzzer's evaluation setup.
 
-    Uses the sweep runner's per-scenario workload seed, so the number here
-    matches the corresponding fault-free sweep cell.
+    This is the ``(name, scheduler, seed)`` cell of the fuzzer's sweep
+    grid, run through the same :func:`~repro.scenarios.runner.run_cell`
+    with the sweep's per-scenario workload seed, so its numbers equal the
+    matching ``engine="cluster"`` sweep cell's.
     """
     cfg = config.eval_dict()
-    scenario = build_scenario(name, base_rate=config.rate,
+    scenario = build_scenario(name, base_rate=cfg["base_rate"],
                               duration=config.duration,
                               slo_multiplier=config.slo_multiplier)
     genome = {"params": {}, "faults": []}
@@ -316,15 +281,45 @@ def evaluate_named_scenario(name: str, config: FuzzConfig) -> Dict:
                      wseed=workload_seed(name, config.seed))
 
 
+def _check_reproducer(cfg, genome) -> None:
+    """Reject a malformed reproducer before it becomes a sweep grid."""
+    params = genome.get("params") if isinstance(genome, dict) else None
+    if not (isinstance(cfg, dict) and isinstance(params, dict) and "faults" in genome):
+        raise FaultError("a reproducer needs a 'config' object and a 'genome' "
+                         "object with 'params' and 'faults'")
+    for key, types in _CONFIG_FIELDS.items():
+        if key not in cfg or not isinstance(cfg[key], types):
+            raise FaultError(f"reproducer config {key!r} must be "
+                             f"{' or '.join(t.__name__ for t in types)}, got "
+                             f"{repr(cfg[key]) if key in cfg else 'nothing'}")
+    if cfg["objective"] not in OBJECTIVES:
+        raise FaultError(f"objective must be one of {OBJECTIVES}, "
+                         f"got {cfg['objective']!r}")
+    # The search never leaves these bounds; outside them a shape can be
+    # degenerate or generate requests forever.
+    for name, (low, high, _) in _PARAM_BOUNDS.items():
+        value = params.get(name)
+        if not (isinstance(value, (int, float)) and low <= value <= high):
+            raise FaultError(f"reproducer genome {name!r} must be a number in "
+                             f"[{low}, {high}], got {value!r}")
+    try:
+        FaultSpec.from_dicts(genome["faults"])
+    except (TypeError, ValueError) as exc:
+        raise FaultError(f"reproducer genome has malformed faults: {exc}") from None
+
+
 def replay(reproducer: Dict) -> Dict:
     """Re-evaluate a reproducer document; returns the fresh metrics.
 
     The document embeds its evaluation config, so a replay needs nothing
-    else and reproduces the recorded score exactly.
+    else and reproduces the recorded score exactly.  Every field a replay
+    reads is checked first; keys it does not read, such as the ``router``
+    that older documents carry, are ignored.
     """
     for key in ("config", "genome"):
         if key not in reproducer:
             raise FaultError(f"reproducer is missing its {key!r} block")
+    _check_reproducer(reproducer["config"], reproducer["genome"])
     return _evaluate(reproducer["genome"], reproducer["config"])
 
 

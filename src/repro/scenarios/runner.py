@@ -5,6 +5,8 @@ is an independent deterministic simulation: its workload seed derives only
 from (scenario, seed) — never from the scheduler — so competing policies
 see bit-identical request streams, and never from the process that happens
 to run it — so the results store is identical whatever ``workers`` is.
+:func:`run_cell` is the one place that turns a scenario, a scheduler and a
+seed into an engine run; the fuzzer's candidates and baselines share it.
 
 Results land in a :class:`~repro.warehouse.store.Warehouse` directory,
 keyed ``scenario/scheduler/seed<N>``.  Re-running a sweep against an
@@ -36,6 +38,7 @@ count.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -50,7 +53,8 @@ import numpy as np
 from repro.errors import SchedulingError
 from repro.sim.engine import simulate
 
-from repro.scenarios.spec import available_scenarios, build_scenario, generate_scenario
+from repro.scenarios.spec import (ScenarioSpec, available_scenarios,
+                                  build_scenario, generate_scenario)
 
 #: Per-cell metrics copied from the simulation summary into the store.
 METRIC_KEYS = ("antt", "violation_rate", "stp", "p50", "p95", "p99")
@@ -162,20 +166,6 @@ class SweepConfig:
                 f"family must be one of {sorted(_DEFAULT_BASE_RATE)}, "
                 f"got {self.family!r}"
             )
-        if self.duration <= 0:
-            raise SchedulingError(f"duration must be positive, got {self.duration}")
-        if self.base_rate is not None and self.base_rate <= 0:
-            raise SchedulingError(
-                f"base rate must be positive, got {self.base_rate}"
-            )
-        if self.slo_multiplier <= 0:
-            raise SchedulingError(
-                f"slo multiplier must be positive, got {self.slo_multiplier}"
-            )
-        if self.n_profile_samples <= 0:
-            raise SchedulingError(
-                f"profile samples must be positive, got {self.n_profile_samples}"
-            )
         if self.engine not in ("single", "cluster"):
             raise SchedulingError(
                 f"engine must be 'single' or 'cluster', got {self.engine!r}"
@@ -184,23 +174,45 @@ class SweepConfig:
             from repro.cluster.policies import available_autoscale_policies
 
             if self.engine != "cluster":
-                raise SchedulingError(
-                    "autoscale requires engine='cluster'"
-                )
+                raise SchedulingError("autoscale requires engine='cluster'")
             if self.autoscale not in available_autoscale_policies():
                 raise SchedulingError(
                     f"unknown autoscale policy {self.autoscale!r}; available: "
                     f"{available_autoscale_policies()}"
                 )
-        if self.pool_size < 1:
-            raise SchedulingError(
-                f"pool size must be >= 1, got {self.pool_size}"
-            )
-        if self.telemetry_interval is not None and self.telemetry_interval <= 0:
-            raise SchedulingError(
-                f"telemetry interval must be positive, got "
-                f"{self.telemetry_interval}"
-            )
+        # Every run knob fails here, before a store records it.  Engine
+        # knobs carry the engine's own message and are checked only where
+        # they take effect (admission on the cluster engine, the autoscaler
+        # when one is set).  Each test is written so that NaN fails it, and
+        # an infinite duration or rate would generate requests forever.
+        cluster, scaled = self.engine == "cluster", self.autoscale is not None
+        depth, tick = self.max_queue_depth, self.telemetry_interval
+        for bad, message in (
+            (not 0 < self.duration < math.inf,
+             f"duration must be positive and finite, got {self.duration}"),
+            (self.base_rate is not None and not 0 < self.base_rate < math.inf,
+             f"base rate must be positive and finite, got {self.base_rate}"),
+            (not self.slo_multiplier > 0,
+             f"slo multiplier must be positive, got {self.slo_multiplier}"),
+            (self.n_profile_samples <= 0,
+             f"profile samples must be positive, got {self.n_profile_samples}"),
+            (self.pool_size < 1, f"pool size must be >= 1, got {self.pool_size}"),
+            (self.block_size < 1, f"block size must be >= 1, got {self.block_size}"),
+            (not self.switch_cost >= 0,
+             f"switch cost must be >= 0, got {self.switch_cost}"),
+            (cluster and depth is not None and depth < 1,
+             f"max queue depth must be >= 1, got {depth}"),
+            (scaled and not self.autoscale_interval > 0,
+             f"tick interval must be positive, got {self.autoscale_interval}"),
+            (scaled and self.max_accelerators < 1,
+             f"max accelerators ({self.max_accelerators}) must be >= min (1)"),
+            (scaled and not self.provision_latency >= 0,
+             f"provision latency must be >= 0, got {self.provision_latency}"),
+            (tick is not None and not tick > 0,
+             f"telemetry interval must be positive, got {tick}"),
+        ):
+            if bad:
+                raise SchedulingError(message)
         if self.alerts and self.telemetry_interval is None:
             raise SchedulingError(
                 "alerts are evaluated on the telemetry grid; set "
@@ -269,45 +281,34 @@ def _profiled_suite(family: str, n_samples: int):
     return benchmark_suite(family, n_samples=n_samples, seed=0)
 
 
-def _run_cell(args: Tuple) -> Tuple[str, Dict]:
-    """Run one (scenario, scheduler, seed) cell; top-level for pickling."""
-    scenario, scheduler_name, seed, config = args
+def run_cell(config: SweepConfig, scheduler: str, scenario: ScenarioSpec,
+             workload_seed: int, faults=None) -> Optional[Dict]:
+    """Run ``scheduler`` over ``scenario`` under ``config``'s run knobs.
+
+    ``faults`` is an optional :class:`~repro.faults.spec.FaultSpec`
+    (cluster engine only).  Returns the cell's metric columns, or ``None``
+    when the scenario generated no requests.
+    """
     from repro.core.lut import ModelInfoLUT
     from repro.schedulers.base import make_scheduler
 
     traces = _profiled_suite(config.family, config.n_profile_samples)
-    spec = build_scenario(scenario, base_rate=config.rate,
-                          duration=config.duration,
-                          slo_multiplier=config.slo_multiplier)
-    wseed = workload_seed(scenario, seed)
-    requests = generate_scenario(traces, spec, seed=wseed)
+    requests = generate_scenario(traces, scenario, seed=workload_seed)
     if not requests:
-        raise SchedulingError(
-            f"cell {cell_key(scenario, scheduler_name, seed)} generated no "
-            f"requests; increase --rate or --duration"
-        )
+        return None
     lut = ModelInfoLUT(traces)
+    policy = make_scheduler(scheduler, lut)
     accountant = None
-    scheduler_kwargs = {}
     if config.energy:
         from repro.energy import EnergyAccountant
-        from repro.energy.schedulers import ENERGY_SCHEDULERS
 
         accountant = EnergyAccountant.from_model_lut(lut)
-        if scheduler_name in ENERGY_SCHEDULERS:
-            scheduler_kwargs["energy_lut"] = accountant.energy_lut
     obs = None
     if config.telemetry_interval is not None:
         from repro.obs import Observability
 
         obs = Observability(telemetry=config.telemetry_interval)
-    cell = {
-        "scenario": scenario,
-        "scheduler": scheduler_name,
-        "seed": seed,
-        "workload_seed": wseed,
-        "n_requests": len(requests),
-    }
+    cell = {"n_requests": len(requests)}
     if config.engine == "cluster":
         from repro.cluster import (
             AdmissionController,
@@ -317,8 +318,7 @@ def _run_cell(args: Tuple) -> Tuple[str, Dict]:
         )
 
         pool = Pool(
-            "pool", make_scheduler(scheduler_name, lut, **scheduler_kwargs),
-            config.pool_size,
+            "pool", policy, config.pool_size,
             block_size=config.block_size, switch_cost=config.switch_cost,
         )
         autoscaler = None
@@ -332,14 +332,6 @@ def _run_cell(args: Tuple) -> Tuple[str, Dict]:
         admission = None
         if config.max_queue_depth is not None:
             admission = AdmissionController(max_queue_depth=config.max_queue_depth)
-        faults = None
-        if config.faults is not None:
-            from repro.faults.spec import build_faults
-
-            # Seeded with the cell's workload seed: a faulted grid varies
-            # the timeline across seeds but never across workers.
-            faults = build_faults(config.faults, duration=config.duration,
-                                  seed=wseed)
         result = simulate_cluster(
             requests, [pool], "round-robin",
             admission=admission, autoscaler=autoscaler,
@@ -357,8 +349,7 @@ def _run_cell(args: Tuple) -> Tuple[str, Dict]:
             )
     else:
         result = simulate(
-            requests,
-            make_scheduler(scheduler_name, lut, **scheduler_kwargs),
+            requests, policy,
             block_size=config.block_size,
             switch_cost=config.switch_cost,
             energy=accountant,
@@ -376,7 +367,31 @@ def _run_cell(args: Tuple) -> Tuple[str, Dict]:
             from repro.obs.alerts import evaluate_alerts
 
             cell["alerts"] = [a.to_dict() for a in evaluate_alerts(table)]
-    return cell_key(scenario, scheduler_name, seed), cell
+    return cell
+
+
+def _run_cell(args: Tuple) -> Tuple[str, Dict]:
+    """Run one (scenario, scheduler, seed) grid cell; top-level for pickling."""
+    scenario, scheduler_name, seed, config = args
+    key = cell_key(scenario, scheduler_name, seed)
+    wseed = workload_seed(scenario, seed)
+    faults = None
+    if config.faults is not None:
+        from repro.faults.spec import build_faults
+
+        # Seeded with the cell's workload seed: a faulted grid varies the
+        # timeline across seeds but never across workers.
+        faults = build_faults(config.faults, duration=config.duration, seed=wseed)
+    spec = build_scenario(scenario, base_rate=config.rate,
+                          duration=config.duration,
+                          slo_multiplier=config.slo_multiplier)
+    metrics = run_cell(config, scheduler_name, spec, wseed, faults)
+    if metrics is None:
+        raise SchedulingError(
+            f"cell {key} generated no requests; increase --rate or --duration"
+        )
+    return key, {"scenario": scenario, "scheduler": scheduler_name,
+                 "seed": seed, "workload_seed": wseed, **metrics}
 
 
 def _run_cell_costed(args: Tuple) -> Tuple[int, str, Optional[Dict], Dict, Optional[str]]:

@@ -6,10 +6,12 @@ emits replays to exactly the score it recorded.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import FaultError, SchedulingError
+from repro.scenarios import SweepConfig, cell_key, run_sweep
 from repro.scenarios.fuzz import (
     FuzzConfig,
     evaluate_named_scenario,
@@ -21,6 +23,23 @@ from repro.scenarios.fuzz import (
 #: Small-but-real search config shared across tests (one lru-cached
 #: profiling pass per process).
 QUICK = dict(budget=6, duration=4.0, n_profile_samples=30)
+
+#: A reproducer written before the fuzzer lost its router knob: energy_edp
+#: under the edp objective, searched with ``--router jsq`` (a one-pool
+#: evaluation sends every request to its one pool whatever the router).
+PARENT_REPRODUCER = (Path(__file__).parent / "fixtures"
+                     / "fuzz_reproducer_router_jsq.json")
+
+#: One bad value per run knob; each is a SchedulingError from both configs.
+BAD_RUN_KNOBS = (
+    ("duration", 0.0),
+    ("base_rate", -1.0),
+    ("pool_size", 0),
+    ("slo_multiplier", 0.0),
+    ("n_profile_samples", 0),
+    ("block_size", 0),
+    ("switch_cost", -1.0),
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +64,14 @@ class TestConfigValidation:
     def test_unknown_family_rejected(self):
         with pytest.raises(SchedulingError, match="family"):
             FuzzConfig(scheduler="sjf", family="rnn")
+
+    @pytest.mark.parametrize("knob,value", BAD_RUN_KNOBS)
+    def test_bad_run_knob_is_one_error_class(self, knob, value):
+        with pytest.raises(SchedulingError):
+            SweepConfig(scenarios=("steady",), schedulers=("sjf",), seeds=(0,),
+                        **{knob: value})
+        with pytest.raises(SchedulingError):
+            FuzzConfig(scheduler="sjf", **{knob: value})
 
     def test_eval_dict_drops_search_only_knobs(self):
         cfg = FuzzConfig(scheduler="sjf", budget=9).eval_dict()
@@ -90,6 +117,29 @@ class TestSearch:
         fresh = evaluate_named_scenario("steady", config)
         assert fresh == quick_doc["baselines"]["steady"]
 
+    @pytest.mark.parametrize("scheduler,objective", (
+        ("dysta", "violation_rate"), ("energy_edp", "edp"),
+    ))
+    def test_baselines_equal_cluster_sweep_cells(self, scheduler, objective):
+        config = FuzzConfig(scheduler=scheduler, seed=3, objective=objective,
+                            **QUICK)
+        sweep = run_sweep(SweepConfig(
+            scenarios=("steady", "flash_crowd"), schedulers=(scheduler,),
+            seeds=(3,), duration=QUICK["duration"],
+            n_profile_samples=QUICK["n_profile_samples"], engine="cluster",
+            energy=objective == "edp",
+        ))
+        for name in ("steady", "flash_crowd"):
+            baseline = evaluate_named_scenario(name, config)
+            cell = sweep.cells[cell_key(name, scheduler, 3)]
+            shared = set(baseline) & set(cell)
+            assert {"n_requests", "makespan", "violation_rate", "antt", "p99",
+                    "num_shed"} <= shared
+            assert ("edp" in shared) == (objective == "edp")
+            for key in shared:
+                assert baseline[key] == cell[key], (name, key)
+            assert baseline["score"] == cell[objective]
+
 
 class TestReproducers:
     def test_minimized_replays_to_recorded_score(self, quick_doc):
@@ -111,6 +161,13 @@ class TestReproducers:
         text = json.dumps(quick_doc["minimized"], sort_keys=True)
         outcome = replay(json.loads(text))
         assert outcome["score"] == quick_doc["minimized"]["score"]
+
+    def test_document_from_before_the_router_knob_replays(self):
+        reproducer = json.loads(PARENT_REPRODUCER.read_text())
+        assert reproducer["config"]["router"] == "jsq"
+        outcome = replay(reproducer)
+        assert outcome["score"] == reproducer["score"]
+        assert outcome == reproducer["metrics"]
 
     def test_replay_rejects_malformed_documents(self):
         with pytest.raises(FaultError, match="config"):
@@ -140,3 +197,37 @@ class TestCliReplayErrors:
         path.write_text('{"hello": 1}')
         assert main(["fuzz", "--replay", str(path)]) == 1
         assert "no reproducer found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("breakage", (
+        "config_without_family", "params_without_rate_scale",
+        "pool_size_not_a_number", "genome_is_a_list", "no_score",
+        "unknown_objective", "fault_time_not_a_number", "infinite_spike",
+        "infinite_duration",
+    ))
+    def test_malformed_reproducer_is_a_clean_error(self, tmp_path, capsys,
+                                                   breakage):
+        from repro.cli import main
+        doc = json.loads(PARENT_REPRODUCER.read_text())
+        if breakage == "config_without_family":
+            del doc["config"]["family"]
+        elif breakage == "params_without_rate_scale":
+            del doc["genome"]["params"]["rate_scale"]
+        elif breakage == "pool_size_not_a_number":
+            doc["config"]["pool_size"] = "two"
+        elif breakage == "genome_is_a_list":
+            doc["genome"] = [doc["genome"]]
+        elif breakage == "no_score":
+            del doc["score"]
+        elif breakage == "unknown_objective":
+            doc["config"]["objective"] = "latency"
+        elif breakage == "fault_time_not_a_number":
+            doc["genome"]["faults"][0]["time"] = "soon"
+        elif breakage == "infinite_spike":
+            doc["genome"]["params"]["spike_scale"] = float("inf")
+        else:
+            doc["config"]["duration"] = float("inf")
+        path = tmp_path / "reproducer.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fuzz", "--replay", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

@@ -138,6 +138,22 @@ class TestSweep:
             tiny_config(base_rate=-5.0)
         with pytest.raises(SchedulingError, match="samples"):
             tiny_config(n_profile_samples=0)
+        # NaN passes no check, and an infinite duration or rate would
+        # generate requests forever.
+        nan, inf = float("nan"), float("inf")
+        for knob, value in (("duration", nan), ("duration", inf),
+                            ("base_rate", nan), ("base_rate", inf),
+                            ("slo_multiplier", nan), ("switch_cost", nan),
+                            ("telemetry_interval", nan)):
+            with pytest.raises(SchedulingError):
+                tiny_config(**{knob: value})
+        # Engine knobs fail at construction, with the engine's message,
+        # on both engines.
+        for engine in ("single", "cluster"):
+            with pytest.raises(SchedulingError, match="block size must be >= 1"):
+                tiny_config(engine=engine, block_size=0)
+            with pytest.raises(SchedulingError, match="switch cost must be >= 0"):
+                tiny_config(engine=engine, switch_cost=-0.5)
 
     def test_cluster_engine_rejects_bad_config(self):
         with pytest.raises(SchedulingError, match="engine"):
@@ -148,6 +164,22 @@ class TestSweep:
             tiny_config(engine="cluster", autoscale="psychic")
         with pytest.raises(SchedulingError, match="pool size"):
             tiny_config(engine="cluster", pool_size=0)
+        with pytest.raises(SchedulingError, match="max queue depth must be >= 1"):
+            tiny_config(engine="cluster", max_queue_depth=0)
+        scaled = dict(engine="cluster", autoscale="reactive")
+        with pytest.raises(SchedulingError, match="tick interval must be positive"):
+            tiny_config(autoscale_interval=0.0, **scaled)
+        with pytest.raises(SchedulingError, match=r"max accelerators \(0\)"):
+            tiny_config(max_accelerators=0, **scaled)
+        with pytest.raises(SchedulingError, match="provision latency must be >= 0"):
+            tiny_config(provision_latency=-1.0, **scaled)
+
+    def test_knobs_are_checked_only_where_they_take_effect(self):
+        # The single engine has no admission controller, and a fixed pool
+        # no autoscaler: these configs ran before the checks and still do.
+        tiny_config(max_queue_depth=0)
+        tiny_config(engine="cluster", autoscale_interval=0.0,
+                    max_accelerators=0, provision_latency=-1.0)
 
     def test_cluster_cells_hold_cost_metrics(self):
         config = tiny_config(scenarios=("flash_crowd",), seeds=(0,),
@@ -206,6 +238,19 @@ class TestScenarioCLI:
 
         assert main(argv) == 0
         assert "(0 run, 2 skipped)" in capsys.readouterr().out
+
+    def test_bad_knob_never_creates_the_store(self, tmp_path, capsys):
+        # Rejected before the warehouse records the knob, so the corrected
+        # re-run needs no --force.
+        out = tmp_path / "out"
+        argv = ["scenario", "--scenarios", "steady", "--schedulers", "sjf",
+                "--seeds", "0", "--duration", "3", "--samples", "10",
+                "--out", str(out)]
+        assert main(argv + ["--block-size", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "block size must be >= 1" in err and "Traceback" not in err
+        assert not out.exists()
+        assert main(argv) == 0
 
     def test_json_store_path_points_at_import(self, tmp_path, capsys):
         # A JSON sweep store is no longer a place to sweep into: it is
