@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.bench.figures import render_table
 from repro.bench.harness import BASE_ARRIVAL_RATE, PAPER_SCHEDULERS, run_comparison, run_single
@@ -670,6 +670,18 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     return 0
 
 
+def _no_traffic(rep: Dict) -> bool:
+    """A reproducer whose scenario generated no requests: its score is null."""
+    metrics = rep.get("metrics")
+    return (rep.get("score") is None and isinstance(metrics, dict)
+            and metrics.get("n_requests") == 0)
+
+
+def _score_text(score: Optional[float], digits: int) -> str:
+    """A fuzz score for printing; ``None`` means the scenario had no traffic."""
+    return "none (no traffic)" if score is None else f"{score:.{digits}f}"
+
+
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     """Adversarial scenario search (or replay of a saved reproducer)."""
     from repro.scenarios.fuzz import FuzzConfig, fuzz, fuzz_to_json, replay
@@ -686,14 +698,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         if not isinstance(doc, dict):
             raise ReproError(f"{args.replay}: expected a JSON object")
         rep = doc if "genome" in doc else (doc.get("minimized") or doc.get("worst"))
-        if not isinstance(rep, dict) or not isinstance(rep.get("score"), (int, float)):
+        if not (isinstance(rep, dict) and (
+                isinstance(rep.get("score"), (int, float)) or _no_traffic(rep))):
             raise ReproError(
                 f"{args.replay}: no reproducer found (expected a 'genome' "
-                "or a 'minimized'/'worst' entry, with a numeric 'score')")
+                "or a 'minimized'/'worst' entry, with a numeric 'score', or "
+                "a null one when its metrics have 'n_requests' 0)")
         outcome = replay(rep)
         match = outcome["score"] == rep["score"]
-        print(f"replayed {args.replay}: score {outcome['score']:.6f} "
-              f"(recorded {rep['score']:.6f}) -> "
+        print(f"replayed {args.replay}: score {_score_text(outcome['score'], 6)} "
+              f"(recorded {_score_text(rep['score'], 6)}) -> "
               f"{'MATCH' if match else 'MISMATCH'}")
         if args.json:
             print(json.dumps(outcome, indent=2, sort_keys=True))
@@ -723,16 +737,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
           f"objective {config.objective}, budget {config.budget} "
           f"({search['evaluations']} evals, {search['generations']} "
           f"generations)")
-    print(f"worst case      : score {worst['score']:.4f} "
+    print(f"worst case      : score {_score_text(worst['score'], 4)} "
           f"(generation {search['best_generation']}, "
           f"index {search['best_index']}; "
           f"{len(worst['genome']['faults'])} fault events)")
     if "minimized" in doc:
         minimized = doc["minimized"]
-        print(f"minimized       : score {minimized['score']:.4f} "
+        print(f"minimized       : score {_score_text(minimized['score'], 4)} "
               f"({len(minimized['genome']['faults'])} fault events, "
               f"{search['minimize_evaluations']} extra evals)")
-    baselines = ", ".join(f"{name} {entry['score']:.4f}"
+    baselines = ", ".join(f"{name} {_score_text(entry['score'], 4)}"
                           for name, entry in sorted(doc["baselines"].items()))
     print(f"baselines       : {baselines}")
     if args.out:

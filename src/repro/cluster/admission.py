@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.core.lut import ModelInfoLUT
 from repro.errors import SchedulingError
+from repro.seqsum import seqsum
 from repro.sim.request import Request
 
 from repro.cluster.pool import Pool
@@ -77,7 +78,7 @@ class AdmissionController:
         ):
             return SHED_QUEUE_DEPTH
         if self.slo_guard:
-            backlog_work = sum(
+            backlog_work = seqsum(
                 self._estimated_remaining(r) / pool.service_speed(r)
                 for r in pool.pending()
             )

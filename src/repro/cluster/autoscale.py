@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.lut import ModelInfoLUT
 from repro.errors import SchedulingError
+from repro.seqsum import seqsum
 
 from repro.cluster.pool import Pool
 from repro.cluster.policies import (
@@ -201,8 +202,8 @@ def cost_summary(
     capacity that stayed on the bill while an injected outage kept it from
     serving (0.0 on fault-free runs).
     """
-    provisioned = sum(p.acc_seconds_provisioned for p in pools)
-    used = sum(p.busy_time for p in pools)
+    provisioned = seqsum(p.acc_seconds_provisioned for p in pools)
+    used = seqsum(p.busy_time for p in pools)
     return {
         "acc_seconds_provisioned": provisioned,
         "acc_seconds_used": used,
@@ -211,7 +212,7 @@ def cost_summary(
         "shed_under_scale_lag": float(
             sum(p.shed_during_scale_lag for p in pools)
         ),
-        "acc_seconds_lost": sum(p.acc_seconds_lost for p in pools),
+        "acc_seconds_lost": seqsum(p.acc_seconds_lost for p in pools),
     }
 
 

@@ -73,6 +73,7 @@ from repro.obs.profile import (
     PHASE_QUEUE_UPDATE,
     PHASE_SELECT,
 )
+from repro.seqsum import seqsum
 from repro.sim.ready_queue import ReadyQueue
 from repro.sim.request import Request
 
@@ -623,9 +624,7 @@ class Pool:
         if layers == 1:
             dt = chosen.layer_latencies[nl] / speed
         else:
-            dt = sum(
-                chosen.layer_latencies[nl + k] for k in range(layers)
-            ) / speed
+            dt = seqsum(chosen.layer_latencies[nl:nl + layers]) / speed
         self.running[npu] = chosen
         self.busy_time += (start - now) + dt
         if self._fault_mode:

@@ -35,6 +35,7 @@ from repro.core.predictor import (
     SparseLatencyPredictor,
 )
 from repro.errors import SchedulingError
+from repro.seqsum import seqsum
 from repro.sim.request import Request
 
 from repro.cluster.pool import Pool
@@ -237,7 +238,7 @@ class PredictiveRouter(Router):
         hypothetical placement outside an engine run.
         """
         predictor = self.predictor
-        outstanding = sum(
+        outstanding = seqsum(
             predicted_remaining(predictor, r) / pool.service_speed(r)
             for r in pool.pending()
         )

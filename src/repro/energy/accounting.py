@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.lut import ModelInfoLUT
+from repro.seqsum import seqsum
 from repro.sim.request import Request
 
 from repro.energy.lut import EnergyLUT
@@ -62,7 +63,7 @@ class EnergyAccountant:
             seen.setdefault(self.energy_lut.entry(key).table.idle_power_w)
         if not seen:
             return 0.0
-        return sum(seen) / len(seen)
+        return seqsum(seen) / len(seen)
 
     def request_dynamic_energy(self, request: Request) -> float:
         """Dynamic joules of every layer at the request's true sparsities."""
@@ -138,9 +139,9 @@ def energy_summary(
     joules = [energy.request_energy(r) for r in requests]
     n = len(requests)
     return {
-        "energy_per_request": sum(joules) / n,
-        "total_joules": sum(joules),
-        "edp": sum(j * r.turnaround for j, r in zip(joules, requests)) / n,
+        "energy_per_request": seqsum(joules) / n,
+        "total_joules": seqsum(joules),
+        "edp": seqsum(j * r.turnaround for j, r in zip(joules, requests)) / n,
     }
 
 

@@ -41,6 +41,7 @@ import numpy as np
 from repro.core.lut import ModelInfoLUT
 from repro.obs.bus import KIND_POWERCAP
 from repro.schedulers.base import INF, Scheduler, register_scheduler
+from repro.seqsum import seqsum
 from repro.sim.ready_queue import ReadyQueue
 from repro.sim.request import Request
 
@@ -80,7 +81,7 @@ class EnergyEDPScheduler(Scheduler):
             max(self.energy_lut.avg_power(key), _MIN_POWER)
             for key in self.energy_lut.keys
         ]
-        self._mean_power = sum(powers) / len(powers) if powers else 1.0
+        self._mean_power = seqsum(powers) / len(powers) if powers else 1.0
         #: key -> (P_bar / P_key, load penalty in weighted seconds, key id).
         self._key_cache: Dict[str, Tuple[float, float, int]] = {}
         self._resident_kid: Optional[int] = None

@@ -28,8 +28,17 @@ class TraceSet:
         model_name: Zoo model name.
         pattern_key: Weight-sparsity config key (``WeightSparsityConfig.key``).
         dataset: Dataset (or mixture) identifier the samples were drawn from.
-        latencies: ``(n_samples, num_layers)`` latency matrix, seconds.
-        sparsities: ``(n_samples, num_layers)`` monitored dynamic sparsity.
+        latencies: ``(n_samples, num_layers)`` latency matrix, seconds;
+            finite and positive.
+        sparsities: ``(n_samples, num_layers)`` monitored dynamic sparsity,
+            in [0, 1].
+
+    Rows are kept as numpy arrays, never as Python float lists: a trace set
+    lives as long as the profile does, and a list entry costs four times a
+    float64 cell.  The workload list builders convert each sampled row once
+    per call and share its floats among that call's requests; the lazy
+    streams convert per request.  Only the per-row isolated latencies are
+    cached here (:meth:`isolated_latency`).
     """
 
     model_name: str
@@ -48,14 +57,17 @@ class TraceSet:
             )
         if lat.shape[0] == 0 or lat.shape[1] == 0:
             raise ProfilingError("trace set must contain at least one sample and layer")
-        if (lat <= 0).any():
-            raise ProfilingError("all layer latencies must be positive")
-        if (sp < 0).any() or (sp > 1).any():
-            raise ProfilingError("all sparsities must be in [0, 1]")
+        # Written as "not inside the valid range" so NaN, which fails every
+        # comparison, is rejected too.
+        if not ((lat > 0) & (lat < np.inf)).all():
+            raise ProfilingError("all layer latencies must be positive and finite")
+        if not ((sp >= 0) & (sp <= 1)).all():
+            raise ProfilingError("all sparsities must be in [0, 1] and not NaN")
         if self.layer_names and len(self.layer_names) != lat.shape[1]:
             raise ProfilingError("layer_names length must match the layer dimension")
         object.__setattr__(self, "latencies", lat)
         object.__setattr__(self, "sparsities", sp)
+        object.__setattr__(self, "_row_isolated", None)
 
     @property
     def key(self) -> str:
@@ -74,6 +86,21 @@ class TraceSet:
     def isolated_latencies(self) -> np.ndarray:
         """Uninterrupted end-to-end latency per sample (sum over layers)."""
         return self.latencies.sum(axis=1)
+
+    def isolated_latency(self, row: int) -> float:
+        """Isolated latency of sample ``row``, summed left to right.
+
+        The same bits as ``Request.isolated_latency`` of a request built
+        from that row.  Every row's sum is computed on the first call and
+        cached, so building many requests never re-sums a row.
+        """
+        totals = self._row_isolated
+        if totals is None:
+            # np.cumsum adds left to right along the row; its last column
+            # is the sequential total (``latencies.sum`` adds pairwise).
+            totals = np.cumsum(self.latencies, axis=1)[:, -1].tolist()
+            object.__setattr__(self, "_row_isolated", totals)
+        return totals[row]
 
     @property
     def avg_total_latency(self) -> float:

@@ -244,8 +244,9 @@ def _evaluate(genome: Dict, cfg: Dict,
     faults = FaultSpec.from_dicts(genome["faults"]) if genome["faults"] else None
     cell = run_cell(grid, cfg["scheduler"], scenario, wseed, faults)
     if cell is None:
-        # A genome that generates no traffic scores worst, not an error.
-        return {"score": float("-inf"), "n_requests": 0}
+        # A genome that generates no traffic has no score (JSON null), and
+        # ranks below every scored one (_rank); it is not an error.
+        return {"score": None, "n_requests": 0}
     out = {key: cell[key] for key in ("n_requests", "makespan",
                                       "violation_rate", "antt", "p99")}
     out["score"] = cell[cfg["objective"]]
@@ -255,6 +256,11 @@ def _evaluate(genome: Dict, cfg: Dict,
     if grid.energy:
         out["edp"] = cell["edp"]
     return out
+
+
+def _rank(score: Optional[float]) -> float:
+    """Ranking value of a score: no score (no traffic) is the worst."""
+    return float("-inf") if score is None else score
 
 
 def _eval_candidate(args: Tuple) -> Tuple[int, Dict]:
@@ -353,7 +359,7 @@ def _minimize(best_genome: Dict, best_score: float, cfg: Dict,
                  "faults": genome["faults"][:i] + genome["faults"][i + 1:]}
         outcome = _evaluate(trial, cfg)
         evals += 1
-        if outcome["score"] >= best_score:
+        if _rank(outcome["score"]) >= best_score:
             genome = trial
     # 2. Neutralize shape parameters (sorted order: deterministic).
     for name in _PARAM_NAMES:
@@ -364,7 +370,7 @@ def _minimize(best_genome: Dict, best_score: float, cfg: Dict,
                  "faults": genome["faults"]}
         outcome = _evaluate(trial, cfg)
         evals += 1
-        if outcome["score"] >= best_score:
+        if _rank(outcome["score"]) >= best_score:
             genome = trial
     final = _evaluate(genome, cfg)
     evals += 1
@@ -417,7 +423,7 @@ def fuzz(config: FuzzConfig, *, workers: int = 1) -> Dict:
                 outcomes = dict(map(_eval_candidate, args))
             spent += size
             for idx in range(size):  # index order: worker-count invariant
-                score = outcomes[idx]["score"]
+                score = _rank(outcomes[idx]["score"])
                 # Strict improvement keeps the earliest (gen, idx) on ties.
                 if best is None or score > best[0]:
                     best = (score, gen, idx)
@@ -448,7 +454,7 @@ def fuzz(config: FuzzConfig, *, workers: int = 1) -> Dict:
     }
     if config.minimize:
         min_genome, min_eval, min_evals = _minimize(
-            best_genome, best_eval["score"], cfg, config
+            best_genome, _rank(best_eval["score"]), cfg, config
         )
         document["minimized"] = _reproducer(min_genome, min_eval, cfg)
         document["search"]["minimize_evaluations"] = min_evals
@@ -456,5 +462,5 @@ def fuzz(config: FuzzConfig, *, workers: int = 1) -> Dict:
 
 
 def fuzz_to_json(document: Dict) -> str:
-    """Canonical serialization: same document => same bytes."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: same document => same bytes, strict JSON."""
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import SchedulingError
 from repro.profiling.trace import TraceSet
+from repro.seqsum import seqsum
 from repro.sim.request import Request
 from repro.sim.workload import request_from_trace
 
@@ -223,10 +224,10 @@ class Superpose(Shape):
         return total
 
     def peak_rate(self, duration: float) -> float:
-        return sum(s.peak_rate(duration) for s in self.shapes)
+        return seqsum(s.peak_rate(duration) for s in self.shapes)
 
     def mean_rate(self, duration: float) -> float:
-        return sum(s.mean_rate(duration) for s in self.shapes)
+        return seqsum(s.mean_rate(duration) for s in self.shapes)
 
 
 @dataclass(frozen=True)
@@ -467,7 +468,8 @@ def replay_trace(
     for "this recorded input", so replaying the same CSV yields identical
     per-layer latencies every time.  The stream feeds ``simulate``,
     ``simulate_multi`` (via ``list(...)``) and ``simulate_cluster``
-    (directly, bounded memory) alike.
+    (directly, bounded memory) alike: like ``iter_workload``, each request
+    converts its trace row afresh rather than sharing it.
     """
     if isinstance(events, (str, Path)):
         events = load_trace_csv(events)

@@ -23,8 +23,16 @@ import numpy as np
 
 from repro.errors import SchedulingError
 from repro.profiling.trace import TraceSet
+from repro.seqsum import seqsum
 from repro.sim.request import Request
-from repro.sim.workload import check_class_mix, draw_class_mix, request_from_trace
+from repro.sim.workload import (
+    RowSource,
+    build_request,
+    check_class_mix,
+    draw_class_mix,
+    row_lists,
+    shared_row_lists,
+)
 
 from repro.scenarios.shapes import (
     Constant,
@@ -110,11 +118,11 @@ class ScenarioSpec:
 
     @property
     def duration(self) -> float:
-        return sum(p.duration for p in self.phases)
+        return seqsum(p.duration for p in self.phases)
 
     def expected_requests(self) -> float:
         """Expected request count (sum of phase intensity integrals)."""
-        return sum(p.shape.expected_requests(p.duration) for p in self.phases)
+        return seqsum(p.shape.expected_requests(p.duration) for p in self.phases)
 
     def describe(self) -> str:
         spans = ", ".join(
@@ -124,23 +132,12 @@ class ScenarioSpec:
         return f"{self.name}: {spans} (~{self.expected_requests():.0f} requests)"
 
 
-def iter_scenario(
+def _iter_scenario(
     traces: Dict[str, TraceSet],
     spec: ScenarioSpec,
-    *,
-    seed: Optional[int] = None,
+    seed: Optional[int],
+    rows: RowSource,
 ) -> Iterator[Request]:
-    """Yield the scenario's requests lazily, in global arrival order.
-
-    Each phase draws from an independent RNG stream seeded by
-    ``(seed, phase index)``, so inserting or editing one phase never
-    perturbs the randomness of the others.  Only O(n) scalars per phase
-    (arrival times, class draws) are materialized — never n live
-    ``Request`` objects — matching ``iter_workload``'s lazy contract.
-
-    Args:
-        seed: Overrides ``spec.seed`` (the sweep runner's per-cell seed).
-    """
     if not traces:
         raise SchedulingError("cannot generate a scenario from an empty trace dict")
     base_seed = spec.seed if seed is None else seed
@@ -177,8 +174,8 @@ def iter_scenario(
         for i in range(n):
             trace = traces[keys[int(key_idx[i])]]
             row = int(rng.integers(trace.num_samples))
-            yield request_from_trace(
-                trace, row,
+            yield build_request(
+                trace, row, rows(trace, row),
                 rid=rid,
                 arrival=float(arrivals[i]),
                 slo_multiplier=float(multipliers[i]),
@@ -187,14 +184,40 @@ def iter_scenario(
             rid += 1
 
 
+def iter_scenario(
+    traces: Dict[str, TraceSet],
+    spec: ScenarioSpec,
+    *,
+    seed: Optional[int] = None,
+) -> Iterator[Request]:
+    """Yield the scenario's requests lazily, in global arrival order.
+
+    Each phase draws from an independent RNG stream seeded by
+    ``(seed, phase index)``, so inserting or editing one phase never
+    perturbs the randomness of the others.  Only O(n) scalars per phase
+    (arrival times, class draws) are materialized — never n live
+    ``Request`` objects — and each request converts its trace row afresh,
+    matching ``iter_workload``'s lazy contract.
+
+    Args:
+        seed: Overrides ``spec.seed`` (the sweep runner's per-cell seed).
+    """
+    return _iter_scenario(traces, spec, seed, row_lists)
+
+
 def generate_scenario(
     traces: Dict[str, TraceSet],
     spec: ScenarioSpec,
     *,
     seed: Optional[int] = None,
 ) -> List[Request]:
-    """Materialize :func:`iter_scenario` as a list (for the batch engines)."""
-    return list(iter_scenario(traces, spec, seed=seed))
+    """Materialize :func:`iter_scenario` as a list (for the batch engines).
+
+    Requests that sampled the same trace row share its float objects, each
+    in lists of its own (:func:`repro.sim.workload.shared_row_lists`); field
+    for field they equal the iterator's.
+    """
+    return list(_iter_scenario(traces, spec, seed, shared_row_lists()))
 
 
 # --------------------------------------------------------------------------

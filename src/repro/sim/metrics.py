@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 import numpy as np
 
 from repro.errors import SchedulingError
+from repro.seqsum import seqsum
 from repro.sim.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -37,7 +38,7 @@ def _check_finished(requests: Sequence[Request]) -> None:
 def antt(requests: Sequence[Request]) -> float:
     """Average normalized turnaround time (lower is better, >= 1)."""
     _check_finished(requests)
-    return sum(r.normalized_turnaround for r in requests) / len(requests)
+    return seqsum(r.normalized_turnaround for r in requests) / len(requests)
 
 
 def slo_violation_rate(requests: Sequence[Request]) -> float:
@@ -72,7 +73,7 @@ def summarize(
     norm = [r.normalized_turnaround for r in requests]
     p50, p95, p99 = np.percentile(norm, (50, 95, 99))
     out = {
-        "antt": sum(norm) / len(norm),
+        "antt": seqsum(norm) / len(norm),
         "violation_rate": sum(1 for r in requests if r.violated) / len(requests),
         "stp": system_throughput(requests),
         "p50": float(p50),

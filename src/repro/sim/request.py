@@ -11,13 +11,17 @@ Requests use **identity semantics** (``eq=False``): two distinct request
 objects are never equal, membership tests and ``queue.remove`` are pointer
 comparisons instead of deep field-by-field trace comparisons, and requests
 are hashable (usable as set members / dict keys).  Derived quantities that
-the schedulers hammer on every decision — isolated latency, remaining time,
-the deadline, the LUT key — are cached at construction (latencies are
-immutable once the request exists), so they are O(1) instead of O(L).
+the schedulers hammer on every decision — isolated latency, the deadline,
+the LUT key — are computed at construction in one pass over the latencies
+(immutable once the request exists), so they are O(1) instead of O(L).
+The numpy views only some readers need — the latency prefix sums behind
+``true_remaining`` and the monitored-sparsity array — are built on first
+read, so a request costs only what the engines read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
@@ -74,32 +78,39 @@ class Request:
     num_weight_loads: int = 0
 
     def __post_init__(self) -> None:
-        if not self.layer_latencies:
+        latencies = self.layer_latencies
+        if not latencies:
             raise SchedulingError(f"request {self.rid}: empty layer latency trace")
-        if len(self.layer_latencies) != len(self.layer_sparsities):
+        if len(latencies) != len(self.layer_sparsities):
             raise SchedulingError(
                 f"request {self.rid}: latency/sparsity trace length mismatch"
             )
-        if any(lat <= 0 for lat in self.layer_latencies):
-            raise SchedulingError(f"request {self.rid}: non-positive layer latency")
-        if self.slo <= 0:
-            raise SchedulingError(f"request {self.rid}: SLO must be positive")
-        if self.priority <= 0:
-            raise SchedulingError(f"request {self.rid}: priority must be positive")
+        # One pass: validate each latency and accumulate T^Isol left to
+        # right, the order np.cumsum adds in, so latency_prefix[-1] equals
+        # it bit for bit.  NaN fails every comparison, so it is rejected.
+        total = 0.0
+        for lat in latencies:
+            if not 0.0 < lat < math.inf:
+                raise SchedulingError(
+                    f"request {self.rid}: non-positive or non-finite layer "
+                    f"latency {lat!r}"
+                )
+            total += lat
+        if not self.slo > 0:
+            raise SchedulingError(
+                f"request {self.rid}: SLO must be positive, got {self.slo!r}"
+            )
+        if not self.priority > 0:
+            raise SchedulingError(
+                f"request {self.rid}: priority must be positive, got {self.priority!r}"
+            )
         self.last_run_end = self.arrival
-        # Immutable derived state, cached once (np.cumsum accumulates
-        # sequentially, so the prefix total matches Python's sum() bit for
-        # bit).  prefix[j] = latency of layers 0..j-1; prefix[L] = T^Isol.
-        lat = np.asarray(self.layer_latencies, dtype=float)
-        prefix = np.empty(len(lat) + 1, dtype=float)
-        prefix[0] = 0.0
-        np.cumsum(lat, out=prefix[1:])
-        self._lat_prefix = prefix
-        self._num_layers = len(self.layer_latencies)
-        self._isolated = float(prefix[-1])
+        self._num_layers = len(latencies)
+        self._isolated = float(total)
         self._key = f"{self.model_name}/{self.pattern_key}"
         self._deadline = self.arrival + self.slo
-        self._sparsity_arr = np.asarray(self.layer_sparsities, dtype=float)
+        self._lat_prefix: Optional[np.ndarray] = None
+        self._sparsity_arr: Optional[np.ndarray] = None
         self._lut_ref: Optional[Tuple[object, Optional["LUTEntry"]]] = None
 
     @property
@@ -126,22 +137,34 @@ class Request:
 
     @property
     def latency_prefix(self) -> np.ndarray:
-        """Cached latency prefix sums: prefix[j] = sum of layers 0..j-1."""
-        return self._lat_prefix
+        """Latency prefix sums, built on first read: prefix[j] = sum of
+        layers 0..j-1, and prefix[L] = T^Isol."""
+        prefix = self._lat_prefix
+        if prefix is None:
+            prefix = np.empty(self._num_layers + 1, dtype=float)
+            prefix[0] = 0.0
+            np.cumsum(self.layer_latencies, dtype=float, out=prefix[1:])
+            self._lat_prefix = prefix
+        return prefix
 
     @property
     def true_remaining(self) -> float:
         """Ground-truth remaining execution time (Oracle only); O(1)."""
-        return self._isolated - float(self._lat_prefix[self.next_layer])
+        return self._isolated - float(self.latency_prefix[self.next_layer])
 
     @property
     def monitored_sparsities(self) -> np.ndarray:
         """Sparsities of the already-executed layers (visible to schedulers).
 
-        Returned as an O(1) read-only view over the cached sparsity array
-        rather than a freshly sliced list.
+        Returned as an O(1) read-only view over the sparsity array (built on
+        first read) rather than a freshly sliced list.
         """
-        return self._sparsity_arr[: self.next_layer]
+        sparsities = self._sparsity_arr
+        if sparsities is None:
+            sparsities = self._sparsity_arr = np.asarray(
+                self.layer_sparsities, dtype=float
+            )
+        return sparsities[: self.next_layer]
 
     @property
     def turnaround(self) -> float:

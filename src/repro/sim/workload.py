@@ -10,7 +10,7 @@ PREMA's setup, optionally drawn from a mix of SLO classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,6 +127,68 @@ def _arrival_times(spec: WorkloadSpec, rng: np.random.Generator) -> np.ndarray:
     return spec.start_time + arrivals
 
 
+RowLists = Tuple[List[float], List[float]]
+#: ``(trace, row) -> (latencies, sparsities)``: the float lists that a
+#: request built from that row owns.
+RowSource = Callable[[TraceSet, int], RowLists]
+
+
+def row_lists(trace: TraceSet, row: int) -> RowLists:
+    """Fresh float lists of one trace row (the streams' row source)."""
+    return trace.latencies[row].tolist(), trace.sparsities[row].tolist()
+
+
+def shared_row_lists() -> RowSource:
+    """A row source for one list build that converts each row only once.
+
+    Every request still owns its list objects, so mutating one request's
+    trace never touches another's, but requests that sampled the same row
+    hold the same (immutable) float objects.  The table lives only as long
+    as the build: kept on the trace set, it would make streams, which drop
+    each request once it finishes, hold every row they ever touched.
+    """
+    # Keyed by identity: the build's trace dict keeps every trace alive.
+    table: Dict[Tuple[int, int], RowLists] = {}
+
+    def source(trace: TraceSet, row: int) -> RowLists:
+        lists = table.get((id(trace), row))
+        if lists is None:
+            lists = table[(id(trace), row)] = row_lists(trace, row)
+        return lists[0].copy(), lists[1].copy()
+
+    return source
+
+
+def build_request(
+    trace: TraceSet,
+    row: int,
+    lists: RowLists,
+    *,
+    rid: int,
+    arrival: float,
+    slo_multiplier: float,
+    priority: float = 1.0,
+) -> Request:
+    """Build a request from one profiled input sample of a trace set.
+
+    The single recipe that turns (trace, sample row) into a ``Request`` —
+    the row's per-layer latencies/sparsities in ``lists``, which the request
+    owns, and the SLO derived as ``T_isol x multiplier`` from the trace's
+    left-to-right row sum — shared by workload generation, the scenario
+    engine and trace replay so it cannot diverge.
+    """
+    return Request(
+        rid=rid,
+        model_name=trace.model_name,
+        pattern_key=trace.pattern_key,
+        arrival=arrival,
+        slo=trace.isolated_latency(row) * slo_multiplier,
+        layer_latencies=lists[0],
+        layer_sparsities=lists[1],
+        priority=priority,
+    )
+
+
 def request_from_trace(
     trace: TraceSet,
     row: int,
@@ -136,38 +198,20 @@ def request_from_trace(
     slo_multiplier: float,
     priority: float = 1.0,
 ) -> Request:
-    """Build a request from one profiled input sample of a trace set.
+    """:func:`build_request` over freshly converted row lists.
 
-    The single place that turns (trace, sample row) into a ``Request`` —
-    per-layer latencies/sparsities copied from the profile, SLO derived as
-    ``T_isol x multiplier`` — shared by workload generation, the scenario
-    engine and trace replay so the recipe cannot diverge.
+    Each call converts the row afresh, as the streams do; the list builders
+    instead share one row's floats among the requests of one call
+    (:func:`shared_row_lists`).
     """
-    latencies = trace.latencies[row].tolist()
-    isolated = float(sum(latencies))
-    return Request(
-        rid=rid,
-        model_name=trace.model_name,
-        pattern_key=trace.pattern_key,
-        arrival=arrival,
-        slo=isolated * slo_multiplier,
-        layer_latencies=latencies,
-        layer_sparsities=trace.sparsities[row].tolist(),
-        priority=priority,
-    )
+    return build_request(trace, row, row_lists(trace, row), rid=rid,
+                         arrival=arrival, slo_multiplier=slo_multiplier,
+                         priority=priority)
 
 
-def iter_workload(
-    traces: Dict[str, TraceSet], spec: WorkloadSpec
+def _iter_workload(
+    traces: Dict[str, TraceSet], spec: WorkloadSpec, rows: RowSource
 ) -> Iterator[Request]:
-    """Yield the workload one request at a time, in arrival order.
-
-    Identical stream to :func:`generate_workload` (same spec, same seed, same
-    requests), but lazily: only O(n) scalars (arrival times, class draws) are
-    precomputed, never n live ``Request`` objects.  Feed this straight into
-    :func:`repro.cluster.simulate_cluster` to replay 100k+ request streams
-    under streaming metrics with bounded memory.
-    """
     if not traces:
         raise SchedulingError("cannot generate a workload from an empty trace dict")
     rng = np.random.default_rng(spec.seed)
@@ -180,13 +224,28 @@ def iter_workload(
         key = keys[int(rng.integers(len(keys)))]
         trace = traces[key]
         row = int(rng.integers(trace.num_samples))
-        yield request_from_trace(
-            trace, row,
+        yield build_request(
+            trace, row, rows(trace, row),
             rid=rid,
             arrival=float(arrivals[rid]),
             slo_multiplier=float(multipliers[rid]),
             priority=float(priorities[rid]),
         )
+
+
+def iter_workload(
+    traces: Dict[str, TraceSet], spec: WorkloadSpec
+) -> Iterator[Request]:
+    """Yield the workload one request at a time, in arrival order.
+
+    Identical stream to :func:`generate_workload` (same spec, same seed, same
+    requests), but lazily: only O(n) scalars (arrival times, class draws) are
+    precomputed, never n live ``Request`` objects, and each request converts
+    its trace row afresh, so memory stays bounded by the live requests.  Feed
+    this straight into :func:`repro.cluster.simulate_cluster` to replay 100k+
+    request streams under streaming metrics with bounded memory.
+    """
+    return _iter_workload(traces, spec, row_lists)
 
 
 def generate_workload(
@@ -196,6 +255,9 @@ def generate_workload(
 
     Each request uniformly picks a (model, pattern) trace set, then uniformly
     picks one profiled input sample within it; the request inherits that
-    sample's true per-layer latencies and monitored sparsities.
+    sample's true per-layer latencies and monitored sparsities.  Requests
+    that sampled the same row share its float objects, each in lists of its
+    own (:func:`shared_row_lists`); field for field they equal
+    :func:`iter_workload`'s.
     """
-    return list(iter_workload(traces, spec))
+    return list(_iter_workload(traces, spec, shared_row_lists()))

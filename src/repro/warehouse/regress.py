@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import WarehouseError
+from repro.seqsum import seqsum
 
 BASELINE_KIND = "sweep-baseline"
 BASELINE_SCHEMA = 1
@@ -61,8 +62,8 @@ def group_stats(cells: Iterable[Dict],
                       and not math.isnan(float(c[metric]))]
             if not values:
                 continue
-            mean = sum(values) / len(values)
-            variance = sum((v - mean) ** 2 for v in values) / len(values)
+            mean = seqsum(values) / len(values)
+            variance = seqsum((v - mean) ** 2 for v in values) / len(values)
             stats[metric] = {"mean": mean, "std": math.sqrt(variance),
                              "n": len(values)}
         out[key] = {"n_cells": len(members), "metrics": stats}

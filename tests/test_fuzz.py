@@ -231,3 +231,31 @@ class TestCliReplayErrors:
         assert main(["fuzz", "--replay", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestStrictJson:
+    """A scenario with no traffic scores null, never a bare -Infinity."""
+
+    @pytest.mark.parametrize("duration, worst_has_traffic", (
+        ("0.05", True),    # the flash_crowd baseline has no traffic
+        ("0.01", False),   # neither has the worst candidate
+    ))
+    def test_no_traffic_scores_null_and_replays(self, tmp_path, capsys,
+                                                 duration, worst_has_traffic):
+        from repro.cli import main
+
+        def strict(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        path = tmp_path / "fuzz.json"
+        assert main(["fuzz", "--scheduler", "sjf", "--budget", "2",
+                     "--seed", "0", "--duration", duration, "--samples", "10",
+                     "--no-minimize", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text(), parse_constant=strict)
+        assert doc["baselines"]["flash_crowd"] == {"n_requests": 0, "score": None}
+        worst = doc["worst"]
+        assert (worst["score"] is not None) == worst_has_traffic
+        assert (worst["metrics"]["n_requests"] > 0) == worst_has_traffic
+        capsys.readouterr()
+        assert main(["fuzz", "--replay", str(path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("-> MATCH")

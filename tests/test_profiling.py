@@ -53,6 +53,38 @@ class TestTraceSet:
         with pytest.raises(ProfilingError):
             TraceSet("m", "p", "d", np.ones((1, 2)), np.ones((1, 2)) * 1.5)
 
+    # NaN fails every comparison, so range checks written as "reject if
+    # below/above" let it through.
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_latency_rejected(self, bad):
+        lat = np.array([[0.1, bad]])
+        with pytest.raises(ProfilingError, match="positive and finite"):
+            TraceSet("m", "p", "d", lat, np.full((1, 2), 0.5))
+
+    def test_nan_sparsity_rejected(self):
+        sp = np.array([[0.5, np.nan]])
+        with pytest.raises(ProfilingError, match=r"in \[0, 1\] and not NaN"):
+            TraceSet("m", "p", "d", np.full((1, 2), 0.1), sp)
+
+    def test_csv_with_nan_latency_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        make_traceset().save_csv(path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[5] = "nan"
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProfilingError, match="finite"):
+            load_traceset_csv(path)
+
+    def test_row_isolated_latency_adds_left_to_right(self):
+        trace = make_traceset(n=6, layers=40)
+        for row in range(trace.num_samples):
+            total = 0.0
+            for lat in trace.latencies[row].tolist():
+                total += lat
+            assert trace.isolated_latency(row) == total
+
     def test_layer_names_length_checked(self):
         with pytest.raises(ProfilingError, match="layer_names"):
             TraceSet("m", "p", "d", np.ones((1, 2)), np.ones((1, 2)) * 0.5,

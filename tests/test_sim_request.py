@@ -1,5 +1,8 @@
 """Unit tests for the request lifecycle object."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
@@ -24,6 +27,22 @@ class TestValidation:
     def test_nonpositive_slo_rejected(self):
         with pytest.raises(SchedulingError, match="SLO"):
             make_request(slo=0.0)
+
+    # NaN fails every comparison, so "<= 0" checks let it through.
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_latency_rejected(self, bad):
+        with pytest.raises(SchedulingError, match="non-finite"):
+            make_request(latencies=(0.1, bad), sparsities=(0.5, 0.5))
+
+    def test_nan_slo_rejected(self):
+        with pytest.raises(SchedulingError, match="SLO must be positive"):
+            make_request(slo=math.nan)
+
+    def test_nan_priority_rejected(self):
+        with pytest.raises(SchedulingError, match="priority must be positive"):
+            Request(rid=0, model_name="m", pattern_key="p", arrival=0.0,
+                    slo=1.0, layer_latencies=[0.1], layer_sparsities=[0.5],
+                    priority=math.nan)
 
 
 class TestLifecycle:
@@ -58,10 +77,25 @@ class TestLifecycle:
 
     def test_cached_derived_state(self):
         req = make_request(latencies=(0.1, 0.2, 0.3), sparsities=(0.5, 0.5, 0.5))
-        assert req.isolated_latency == sum(req.layer_latencies)
+        # Left to right, as documented; sum() compensates from Python 3.12.
+        assert req.isolated_latency == (0.1 + 0.2) + 0.3
         assert list(req.latency_prefix) == pytest.approx([0.0, 0.1, 0.3, 0.6])
         assert req.num_layers == 3
         assert req.key == "short/dense"
+
+    def test_lazy_arrays_equal_eager_ones_at_every_layer(self):
+        lats = [0.1, 0.2, 0.3, 1e-7, 0.7]
+        sps = [0.5, 0.1, 0.9, 0.0, 1.0]
+        prefix = np.concatenate(([0.0], np.cumsum(np.asarray(lats))))
+        for first_read in range(len(lats) + 1):
+            req = make_request(latencies=lats, sparsities=sps)
+            req.next_layer = first_read  # first read mid-run
+            for j in range(first_read, len(lats) + 1):
+                req.next_layer = j
+                assert req.true_remaining == prefix[-1] - prefix[j]
+                assert req.latency_prefix.tolist() == prefix.tolist()
+                assert req.monitored_sparsities.tolist() == sps[:j]
+            assert req.isolated_latency == prefix[-1]
 
     def test_deadline(self):
         req = make_request(arrival=1.0, slo=2.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.predictor import PredictorStrategy
 from repro.errors import SchedulingError
 from repro.sim.workload import WorkloadSpec, generate_workload
 
@@ -195,3 +196,107 @@ class TestPriorityClasses:
         # prefers it over the (otherwise-winning) short job.
         now = 0.005
         assert sched.select([normal, short, vip], now) is vip
+
+
+class TestSharedRows:
+    """List builders share each sampled row's floats; streams convert anew."""
+
+    @staticmethod
+    def _fields(req):
+        return (req.rid, req.key, req.arrival, req.slo, req.deadline,
+                req.priority, req.layer_latencies, req.layer_sparsities,
+                req.isolated_latency)
+
+    @staticmethod
+    def _builds(toy_traces):
+        """name -> (list build, stream, the SLO multipliers it draws)."""
+        from repro.scenarios import build_scenario, generate_scenario, iter_scenario
+        from repro.sim.workload import iter_workload
+        spec = WorkloadSpec(50.0, n_requests=80, seed=2,
+                            slo_classes=((2.0, 0.5), (8.0, 0.5)),
+                            priority_classes=((1.0, 0.5), (4.0, 0.5)))
+        # multi_tenant draws SLO multipliers 3 and 20 at the default 10.
+        scenario = build_scenario("multi_tenant", base_rate=60.0, duration=2.0)
+        return {
+            "workload": (generate_workload(toy_traces, spec),
+                         list(iter_workload(toy_traces, spec)), (2.0, 8.0)),
+            "scenario": (generate_scenario(toy_traces, scenario, seed=5),
+                         list(iter_scenario(toy_traces, scenario, seed=5)),
+                         (3.0, 20.0)),
+        }
+
+    def test_lists_equal_streams_and_the_reference_recipe(self, toy_traces):
+        for name, (built, streamed, multipliers) in self._builds(toy_traces).items():
+            assert len(built) == len(streamed) > 20, name
+            for a, b in zip(built, streamed):
+                assert self._fields(a) == self._fields(b), (name, a.rid)
+            for req in built:
+                trace = toy_traces[req.key]
+                rows = [row for row in range(trace.num_samples)
+                        if trace.latencies[row].tolist() == req.layer_latencies]
+                assert len(rows) == 1
+                row = rows[0]
+                assert req.layer_sparsities == trace.sparsities[row].tolist()
+                isolated = float(np.cumsum(trace.latencies[row])[-1])
+                assert req.isolated_latency == isolated
+                assert req.slo in [isolated * m for m in multipliers], name
+
+    def test_same_row_shares_floats_but_not_lists(self, toy_traces):
+        for name, (built, streamed, _) in self._builds(toy_traces).items():
+            for requests, shared in ((built, True), (streamed, False)):
+                by_row = {}
+                for req in requests:
+                    by_row.setdefault((req.key, tuple(req.layer_latencies)),
+                                      []).append(req)
+                a, b = next(g for g in by_row.values() if len(g) >= 2)[:2]
+                assert a.layer_latencies is not b.layer_latencies
+                assert a.layer_sparsities is not b.layer_sparsities
+                pairs = list(zip(a.layer_latencies + a.layer_sparsities,
+                                 b.layer_latencies + b.layer_sparsities))
+                assert all((x is y) == shared for x, y in pairs), (name, shared)
+                before = (list(b.layer_latencies), list(b.layer_sparsities))
+                a.layer_latencies[0] = 1.0
+                a.layer_sparsities.append(0.5)
+                assert (b.layer_latencies, b.layer_sparsities) == before
+
+    @pytest.mark.parametrize("policy, kwargs", (
+        ("oracle", {}),
+        ("srpt_oracle", {}),
+        ("dysta", {"strategy": PredictorStrategy.AVERAGE_ALL}),
+    ))
+    def test_lazy_arrays_give_the_reference_schedule(self, toy_traces, toy_lut,
+                                                     policy, kwargs):
+        # Oracle reads latency prefixes and the average-all predictor reads
+        # monitored sparsities, first at layer 1: both are built mid-run.
+        from repro.schedulers.base import make_scheduler
+        from repro.sim.engine import simulate, simulate_reference
+        spec = WorkloadSpec(150.0, n_requests=120, seed=4)
+        lazy = simulate(generate_workload(toy_traces, spec),
+                        make_scheduler(policy, toy_lut, **kwargs))
+        eager = generate_workload(toy_traces, spec)
+        for req in eager:  # build both arrays before the run
+            assert req.latency_prefix[-1] == req.isolated_latency
+            assert len(req.monitored_sparsities) == 0
+        reference = simulate_reference(eager, make_scheduler(policy, toy_lut, **kwargs))
+        assert lazy.num_preemptions > 0
+        assert ([(r.rid, r.finish_time) for r in lazy.requests]
+                == [(r.rid, r.finish_time) for r in reference.requests])
+
+    def test_list_build_retains_under_4000_bytes_per_request(self):
+        # A request used to hold two numpy arrays and its own 2L floats
+        # (7,248 B for attnn); now it owns two lists of shared floats.
+        import gc
+        import tracemalloc
+        from repro.profiling.profiler import benchmark_suite
+        traces = benchmark_suite("attnn", n_samples=200, seed=0)
+        spec = WorkloadSpec(20.0, n_requests=6000, slo_multiplier=4.0, seed=0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            requests = generate_workload(traces, spec)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(requests) <= 4000
