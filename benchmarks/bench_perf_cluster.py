@@ -12,8 +12,9 @@ measured wall-clock into BENCH_perf.json.
 Default scale is 20k requests so the bench suite stays quick;
 ``REPRO_BENCH_FULL=1`` runs the full 100k stream and
 ``REPRO_BENCH_SMOKE=1`` shrinks it to a CI-sized smoke that still asserts
-the vectorized fast path and the pools' same-accelerator block
-continuation engaged.
+the vectorized fast path, the pools' in-place decisions and their
+same-accelerator block continuation, and the selection cache's
+changed-rows tier engaged.
 """
 
 import os
@@ -51,9 +52,10 @@ def _stream(traces, seed=0):
 
 
 def _replay(traces, lut, affinity, router_name):
+    pools = _pools(lut, affinity)
     result = simulate_cluster(
         _stream(traces),
-        _pools(lut, affinity),
+        pools,
         build_router(router_name, lut),
         retain_requests=False,
     )
@@ -61,10 +63,14 @@ def _replay(traces, lut, affinity, router_name):
     assert result.requests == [] and result.shed_requests == []
     # ... must serve the whole stream ...
     assert result.num_completed == N_REQUESTS
-    # ... and must run on the vectorized fast path, continuing lone
-    # requests on the same accelerator when a pool drains.
+    # ... and must run on the vectorized fast path, deciding settled block
+    # boundaries in place (continuing lone requests on the same
+    # accelerator when a pool drains) and scoring only the changed rows
+    # when the previous winner still wins.
     assert result.num_batch_selects > 0
+    assert result.num_in_place_blocks > 0
     assert result.num_continued_blocks > 0
+    assert sum(pool.scheduler._cache.num_changed_hits for pool in pools) > 0
     return result
 
 

@@ -385,6 +385,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                     "joules_busy": s.joules_busy,
                     "joules_idle": s.joules_idle,
                     "continued_blocks": s.continued_blocks,
+                    "in_place_blocks": s.in_place_blocks,
                 }
                 for name, s in result.pool_stats.items()
             },
@@ -425,10 +426,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
               f"({result.joules_used:.2f} J serving, "
               f"{result.metrics['joules_idle']:.2f} J idle draw)")
     print()
-    # "continued": blocks a lone request ran on the same accelerator
-    # without a ready-queue round trip (the pool's continuation fast path).
+    # "in place": blocks a pool decided itself at a settled boundary,
+    # without the engine's dispatch pass; "continued": the subset a lone
+    # request ran on without a ready-queue round trip.
     columns = ["accels", "peak", "completed", "shed", "peak queue", "util %",
-               "continued"]
+               "in place", "continued"]
     if accountant is not None:
         columns += ["busy J", "idle J"]
     print(render_table(
@@ -437,7 +439,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         {
             name: [s.num_accelerators, s.peak_accelerators, s.completed,
                    s.shed, s.max_queue_length, 100 * s.utilization,
-                   s.continued_blocks]
+                   s.in_place_blocks, s.continued_blocks]
                   + ([s.joules_busy, s.joules_idle]
                      if accountant is not None else [])
             for name, s in result.pool_stats.items()

@@ -86,9 +86,13 @@ class PoolStats:
     #: ``select_batch``: all of them except those over a queue holding a
     #: request the LUT lacks.
     batch_selects: int = 0
-    #: Blocks a lone request continued on the same accelerator (a subset of
-    #: ``batch_selects``; 0 unless the policy is ``single_drain_safe``).
+    #: Blocks a lone request continued on the same accelerator without the
+    #: ready-queue round trip (a subset of ``in_place_blocks``; 0 unless
+    #: the policy is ``single_drain_safe``).
     continued_blocks: int = 0
+    #: Blocks started by a decision the pool took itself at a settled block
+    #: boundary, instead of in the engine's dispatch pass.
+    in_place_blocks: int = 0
     #: Highest provisioned capacity reached during the run.
     peak_accelerators: int = 0
     #: Integral of provisioned capacity over the run, in accelerator-seconds.
@@ -138,6 +142,8 @@ class ClusterResult:
     num_batch_selects: int = 0
     #: Blocks continued on the same accelerator across all pools.
     num_continued_blocks: int = 0
+    #: Blocks started by a pool's in-place decision across all pools.
+    num_in_place_blocks: int = 0
     #: Applied capacity changes, in time order (empty without an autoscaler).
     scale_events: List[ScaleEvent] = field(default_factory=list)
 
@@ -394,14 +400,14 @@ def simulate_cluster(
         heapq.heappush(events, (time, next(counter), kind, pool, -1, None, 0, 0.0, 0))
 
     def horizon() -> float:
-        """The earliest time anything but a continued block could happen.
+        """The earliest time anything but a pool's own block could happen.
 
-        A pool continuing a lone request folds a block ending at ``t`` in
-        place only below it (see :meth:`Pool.complete_block`), i.e. while
-        the block's event would pop next and change nothing else:
-        ``t < heap top`` (an event already queued at ``t`` pops first), no
-        arrival is due (``arrival > t + _EPS``, lone_ok's test) and
-        ``Telemetry.poll(t)`` samples nothing.
+        A pool deciding in place folds a block ending at ``t`` only below it
+        (see :meth:`Pool.complete_block`), i.e. while the block's event
+        would pop next and change nothing else: ``t < heap top`` (an event
+        already queued at ``t`` pops first), no arrival is due
+        (``arrival > t + _EPS``, in_place's test) and ``Telemetry.poll(t)``
+        samples nothing.
         """
         h = events[0][0] if events else _INF
         if next_req is not None:
@@ -533,10 +539,10 @@ def simulate_cluster(
     skip_admit = False
     # True while every pool is dispatched to a fixed point and arm_wake has
     # nothing left to arm — i.e. the last event ran the full admit/dispatch
-    # tail.  Only then may a pool continue a lone request on the same
-    # accelerator, since the continuation skips that tail.  Blocks it folds
-    # before the horizon skip the heap as well: the events they stand for
-    # would each have continued again with ``settled`` still True.
+    # tail.  Only then may a pool decide the finished block's accelerator
+    # itself, since that skips the tail.  Blocks it folds before the
+    # horizon skip the heap as well: the events they stand for would each
+    # have been decided in place again with ``settled`` still True.
     settled = True
     while events:
         time, _, kind, pool, npu, req, layers, dt, epoch = heapq.heappop(events)
@@ -576,13 +582,13 @@ def simulate_cluster(
             # request was already requeued.  Nothing to fold.
             pass
         else:
-            # The pool may start the request's next block in place only
-            # when the skipped tail would have had nothing else to do; it
-            # reads the horizon only once it has decided to continue.
-            lone_ok = settled and (next_req is None or next_req.arrival > now + _EPS)
+            # The pool may decide ``npu`` in place only when the skipped
+            # tail would have had nothing else to do; it reads the horizon
+            # only once it has decided in place.
+            in_place = settled and (next_req is None or next_req.arrival > now + _EPS)
             done = pool.complete_block(now, npu, req, layers, dt,
                                        t_entry=t_seg if prof is not None else None,
-                                       push_event=push_event if lone_ok else None,
+                                       push_event=push_event if in_place else None,
                                        horizon=horizon)
             if done:
                 if track_work:
@@ -615,10 +621,10 @@ def simulate_cluster(
                 if prof is not None:
                     p_metrics_s += perf_counter() - t_met
                     p_metrics_c += 1
-            elif done is None:
-                # Continued on the same accelerator: no arrival is due,
-                # every other pool is settled and the wake is armed, so the
-                # tail is a no-op.
+            if in_place and npu in pool.running:
+                # The pool decided ``npu`` itself: no arrival is due, every
+                # other pool is settled and the wake is armed, so the tail
+                # is a no-op.
                 if prof is not None:
                     t_heap = perf_counter()
                 continue
@@ -704,6 +710,7 @@ def simulate_cluster(
             ),
             batch_selects=p.batch_selects,
             continued_blocks=p.continued_blocks,
+            in_place_blocks=p.in_place_blocks,
             peak_accelerators=p.peak_accelerators,
             acc_seconds_provisioned=p.acc_seconds_provisioned,
             scale_ups=p.scale_ups,
@@ -730,5 +737,6 @@ def simulate_cluster(
         metrics=summary,
         num_batch_selects=sum(p.batch_selects for p in pools),
         num_continued_blocks=sum(p.continued_blocks for p in pools),
+        num_in_place_blocks=sum(p.in_place_blocks for p in pools),
         scale_events=scale_events,
     )

@@ -31,11 +31,11 @@ an array-backed :class:`~repro.sim.ready_queue.ReadyQueue` and dispatches
 through ``select_single`` / ``select_batch``, which is what keeps 100k-request
 streaming replays fast — per-decision work stays O(queue) arithmetic in
 numpy (or a tight loop at small depths) instead of O(queue) Python
-property/dict traffic.  When a block's request is alone and its next
-decision is forced, :meth:`Pool.complete_block` starts the next block on
-the same accelerator without the ready-queue round trip, and folds the
-blocks that end before the engine's *horizon* in place, without the event
-heap.
+property/dict traffic.  At a settled block boundary (nothing else due, so
+the engine's dispatch pass would serve the finished block's accelerator
+alone) :meth:`Pool.complete_block` takes that decision itself, and folds
+the blocks that end before the engine's *horizon* in place, without the
+event heap.
 """
 
 from __future__ import annotations
@@ -91,9 +91,10 @@ class Pool:
         num_accelerators: Initial number of identical accelerators; an
             autoscaler may grow or shrink the pool during a run.
         speed: Pool-wide service-speed factor relative to the trace
-            latencies (2.0 = twice as fast).
+            latencies (2.0 = twice as fast).  Fixed after construction.
         affinity: Optional per-model speed factors multiplied with ``speed``;
-            models absent from the mapping run at factor 1.0.
+            models absent from the mapping run at factor 1.0.  Copied and
+            fixed after construction.
         switch_cost: Weight-reload cost on a model switch, per accelerator.
         block_size: Scheduling granularity in layers.
     """
@@ -136,10 +137,16 @@ class Pool:
                     f"pool {name!r}: affinity factor for {model!r} must be "
                     f"positive, got {factor}"
                 )
+        #: ``speed * affinity[model]``, formed once per model (the same
+        #: product service_speed formed per call); other models run at
+        #: ``speed``, which equals ``speed * 1.0`` exactly.
+        self._speeds: Dict[str, float] = {
+            model: speed * factor for model, factor in self.affinity.items()
+        }
         self.switch_cost = switch_cost
         self.block_size = block_size
-        # Only drain-safe schedulers make a continued decision exact (see
-        # complete_block).
+        # Only drain-safe schedulers make a forced decision exact without
+        # the ready-queue round trip (see complete_block).
         self._can_continue = scheduler.single_drain_safe
         #: Energy accountant bound by the cluster engine for this run
         #: (survives reset(); ``None`` disables joule accounting).
@@ -176,8 +183,11 @@ class Pool:
         self.preemptions = 0
         self.invocations = 0
         self.batch_selects = 0
-        #: Blocks started by a same-accelerator continuation (complete_block)
-        #: instead of a ready-queue round trip and dispatch.
+        #: Blocks started by a decision the pool took itself at a settled
+        #: boundary (complete_block) instead of in the engine's dispatch pass.
+        self.in_place_blocks = 0
+        #: The subset of in_place_blocks that continued a lone request
+        #: without the ready-queue round trip.
         self.continued_blocks = 0
         self.max_queue_length = 0
         self.dispatched = 0  # requests first-dispatched in this pool
@@ -499,7 +509,7 @@ class Pool:
 
     def service_speed(self, request: Request) -> float:
         """Effective speed factor this pool serves ``request`` at."""
-        return self.speed * self.affinity.get(request.model_name, 1.0)
+        return self._speeds.get(request.model_name, self.speed)
 
     def backlog(self) -> int:
         """Outstanding (queued + in-flight) requests in the pool."""
@@ -525,40 +535,49 @@ class Pool:
         the block-completion event on the cluster-wide event heap.
         """
         # Scoring lands in ``select`` and the completion-event push in
-        # ``event_heap`` (timed inside _start_block); the rest of the call —
-        # placement bookkeeping, entry and loop checks — in ``dispatch``.
+        # ``event_heap`` (timed inside _choose and _start_block); the rest
+        # of the call — placement bookkeeping, entry and loop checks — in
+        # ``dispatch``.
         prof = self._prof
         if prof is not None:
             t_in = perf_counter()
             sel_s0, heap_s0 = self._p_select_s, self._p_heap_s
-        scheduler = self.scheduler
         queue = self.queue
         while self.idle and queue:
             npu = heapq.heappop(self.idle)
             nq = len(queue)
-            if prof is not None:
-                t1 = perf_counter()
-            if queue.missing_entries:
-                # A request without a LUT entry: estimate-based policies
-                # must raise their usual error, so ask the spec.
-                chosen = scheduler.select_checked(queue, now)
-                batched = False
-            elif nq == 1:
-                chosen = scheduler.select_single(queue, now)
-                batched = True
-            else:
-                chosen = scheduler.select_batch(queue, now)
-                batched = True
-            if prof is not None:
-                self._p_select_s += perf_counter() - t1
-                self._p_select_c += 1
-            queue.remove(chosen, requeue=True)
+            chosen, batched = self._choose(now, nq)
             self._start_block(now, npu, chosen, nq, batched, push_event)
         if prof is not None:
             self._p_dispatch_s += ((perf_counter() - t_in)
                                    - (self._p_select_s - sel_s0)
                                    - (self._p_heap_s - heap_s0))
             self._p_dispatch_c += 1
+
+    def _choose(self, now: float, nq: int) -> Tuple[Request, bool]:
+        """Decide among the ``nq`` queued requests and park the winner's row
+        while it runs.  Returns the winner and whether the scheduler's
+        ``select_single`` / ``select_batch`` decided."""
+        queue = self.queue
+        scheduler = self.scheduler
+        if self._prof is not None:
+            t1 = perf_counter()
+        if queue.missing_entries:
+            # A request without a LUT entry: estimate-based policies
+            # must raise their usual error, so ask the spec.
+            chosen = scheduler.select_checked(queue, now)
+            batched = False
+        elif nq == 1:
+            chosen = scheduler.select_single(queue, now)
+            batched = True
+        else:
+            chosen = scheduler.select_batch(queue, now)
+            batched = True
+        if self._prof is not None:
+            self._p_select_s += perf_counter() - t1
+            self._p_select_c += 1
+        queue.remove(chosen, requeue=True)
+        return chosen, batched
 
     def _start_block(self, now: float, npu: int, chosen: Request, nq: int,
                      batched: bool, push_event: Optional[Callable[..., None]],
@@ -569,10 +588,9 @@ class Pool:
         the ready queue.  Counts the decision, books preemption and weight
         switches, charges the block's time, emits the select and execute
         spans and pushes the block-completion event.  Shared by
-        :meth:`dispatch` and the same-accelerator continuation in
-        :meth:`complete_block`; the continuation passes no ``push_event``
-        and gets the block's ``(end, layers, dt)`` back, to fold in place
-        or push.
+        :meth:`dispatch` and the in-place decisions of
+        :meth:`complete_block`, which pass no ``push_event`` and get the
+        block's ``(end, layers, dt)`` back, to fold in place or push.
         """
         tracer = self._tracer
         self.invocations += 1
@@ -617,7 +635,7 @@ class Pool:
                     self.joules_busy += self._energy.switch_energy(chosen.key)
         nl = chosen.next_layer
         layers = min(self.block_size, chosen.num_layers - nl)
-        speed = self.service_speed(chosen)
+        speed = self._speeds.get(chosen.model_name, self.speed)
         if self._slowdown != 1.0:
             # Straggler window: multiplicative service-*time* factor.
             speed /= self._slowdown
@@ -646,78 +664,117 @@ class Pool:
             self._p_heap_s += perf_counter() - t_push
             self._p_heap_c += 1
 
-    def _fold_block(self, now: float, npu: int, request: Request,
-                    layers: int, dt: float) -> None:
-        """Fold half of the block lifecycle: the block of ``layers`` that
-        ``request`` ran on ``npu`` ended at ``now``.  Shared by the block
-        event (:meth:`complete_block`) and the in-place continuation."""
-        if self._energy is not None:
-            self.joules_busy += self._energy.block_energy(
-                request, request.next_layer, layers, dt
-            )
-        request.next_layer += layers
-        request.executed_time += dt
-        request.last_run_end = now
-        # A continued npu is re-inserted too: float sums over pending()
-        # follow ``running``'s insertion order, which must match dispatch's.
-        del self.running[npu]
-
     def complete_block(self, now: float, npu: int, request: Request,
                        layers: int, dt: float,
                        t_entry: Optional[float] = None,
                        push_event: Optional[Callable[..., None]] = None,
                        horizon: Optional[Callable[[], float]] = None,
-                       ) -> Optional[bool]:
+                       ) -> bool:
         """Fold one finished layer block back into the pool.
 
         Returns True when the request finished all its layers (the caller
-        owns completion accounting), False when it rejoined the queue, and
-        None when it continued on ``npu`` (below).  ``t_entry`` lets a
+        owns completion accounting), else False.  ``t_entry`` lets a
         profiling caller hand over its last clock read so the call
         transition is attributed instead of falling between brackets.
 
-        A caller passes ``push_event`` only when nothing else is due at
-        ``now``: no arrival to admit, no other pool left undispatched.  If
-        the request would then be re-dispatched alone (a drain-safe
-        scheduler, an empty queue, ``npu`` neither draining nor above the
-        lowest idle id), that forced decision is taken here: the next block
-        starts on ``npu`` through the start half :meth:`dispatch` uses.  It
-        skips the ready-queue round trip, the overwrite-only
-        ``on_layer_complete`` (which writes nothing while the request's row
-        is parked; :meth:`fail_accelerators` repairs the parked row this
-        leaves stale) and, for ``trivial_single`` policies,
-        ``select_single``.
+        A caller passes ``push_event`` only at a *settled* boundary: no
+        arrival is due at ``now``, no other pool is left undispatched and
+        the wake is armed, so its dispatch pass would serve ``npu`` alone.
+        The pool then takes that decision itself, and ``npu`` is busy again
+        on return exactly when the caller's pass has nothing left to do:
+
+        * An unfinished request on ``npu`` (not draining, no lower idle id)
+          re-enters the queue, ``on_layer_complete`` and the router's
+          ``note_progress`` run, and ``npu`` is decided through the steps
+          :meth:`dispatch` uses: select, ``remove(requeue=True)``,
+          :meth:`_start_block`.  A lone request under a drain-safe
+          scheduler needs no round trip: it continues on ``npu`` without
+          the ready queue, the overwrite-only ``on_layer_complete`` (which
+          writes nothing while its row is parked;
+          :meth:`fail_accelerators` repairs the parked row this leaves
+          stale) and, for ``trivial_single`` policies, ``select_single``.
+        * A finished request frees ``npu``; with requests queued, the pool
+          dispatches it at once.  This boundary folds nothing further: the
+          caller's completion accounting must come before later blocks'
+          ``note_progress``.
 
         ``horizon()`` is the earliest time anything else could happen (the
         caller's heap top, next arrival and next telemetry sample, each
-        with the tie rule the caller's loop applies), read once the pool
-        has decided to continue.  A continued block that ends before it and
-        leaves the request unfinished is folded in place and the request
-        continues again, so a stretch of forced decisions costs one heap
-        event: the pool pushes the first block that ends at or past the
-        horizon or finishes the request.  Every block keeps its own fold,
-        decision, router ``note_progress``, counts, charges and spans, in
-        the order the heap would have produced them.
+        with the tie rule the caller's loop applies), read once per
+        stretch.  A block decided in place that ends before it and leaves
+        its request unfinished is folded in place and ``npu`` is decided
+        again, so a stretch of settled boundaries costs one heap event: the
+        pool pushes the first block that ends at or past the horizon or
+        finishes its request.  Nothing the decisions read changes before
+        the horizon: no arrival joins the queue, no autoscaler tick marks
+        ``npu`` draining and no other accelerator frees up.  Every block
+        keeps its own fold, decision, router ``note_progress``, counts,
+        charges and spans, in the order the heap would have produced them.
         """
         prof = self._prof
         if prof is not None:
             t_ex = t_entry if t_entry is not None else perf_counter()
-        self._fold_block(now, npu, request, layers, dt)
-        if (push_event is not None and self._can_continue
-                and not self.queue._n
-                and request.next_layer < request._num_layers
-                and npu not in self._draining
-                and (not self.idle or npu < self.idle[0])):
-            if prof is not None:
-                t0 = perf_counter()
-                self._p_execute_s += t0 - t_ex
-                self._p_execute_c += 1
-                heap_s0 = self._p_heap_s
-            self._continue(now, npu, request, push_event, horizon)
-            if prof is not None:
-                self._p_dispatch_s += (perf_counter() - t0) - (self._p_heap_s - heap_s0)
+        queue = self.queue
+        until = None
+        while True:
+            # Fold half of the block lifecycle: the block of ``layers``
+            # that ``request`` ran on ``npu`` ended at ``now``.
+            if self._energy is not None:
+                self.joules_busy += self._energy.block_energy(
+                    request, request.next_layer, layers, dt
+                )
+            request.next_layer += layers
+            request.executed_time += dt
+            request.last_run_end = now
+            # A re-decided npu is re-inserted too: float sums over pending()
+            # follow ``running``'s insertion order, which must match
+            # dispatch's.
+            del self.running[npu]
+            if (push_event is None or request.next_layer >= request._num_layers
+                    or npu in self._draining
+                    or (self.idle and self.idle[0] < npu)):
+                break
+            if until is None:
+                if prof is not None:
+                    t0 = perf_counter()
+                    self._p_execute_s += t0 - t_ex
+                    self._p_execute_c += 1
+                    sel_s0, heap_s0 = self._p_select_s, self._p_heap_s
+                until = horizon()
+            if self._can_continue and not queue._n:
+                if not self.scheduler.trivial_single:
+                    # Per-select state (the current or resident request)
+                    # must follow the forced decision as a dispatch would.
+                    self.scheduler.select_single((request,), now)
+                self.continued_blocks += 1
+                chosen, nq, batched = request, 1, True
+            else:
+                # Re-admit before the monitor callback so converted
+                # schedulers can refresh the request's row.
+                queue.append(request)
+                self.scheduler.on_layer_complete(request, now)
+                chosen = None
+            if self._note_progress is not None:
+                self._note_progress(self, request)
+            if chosen is None:
+                nq = queue._n
+                chosen, batched = self._choose(now, nq)
+            self.in_place_blocks += 1
+            end, layers, dt = self._start_block(now, npu, chosen, nq, batched, None)
+            if end >= until or chosen.next_layer + layers >= chosen._num_layers:
+                if prof is None:
+                    push_event(end, self, npu, chosen, layers, dt)
+                    return False
+                t_push = perf_counter()
+                push_event(end, self, npu, chosen, layers, dt)
+                t1 = perf_counter()
+                self._p_heap_s += t1 - t_push
+                self._p_heap_c += 1
+                self._p_dispatch_s += ((t1 - t0) - (self._p_select_s - sel_s0)
+                                       - (self._p_heap_s - heap_s0))
                 self._p_dispatch_c += 1
-            return None
+                return False
+            now, request = end, chosen
         if npu in self._draining:
             # Drain-before-remove: the block finished, the request lives on
             # (requeued or complete below); only the accelerator retires.
@@ -734,7 +791,7 @@ class Pool:
             self._p_execute_s += t0 - t_ex
             self._p_execute_c += 1
         if request.is_done:
-            self.queue.forget(request.rid)
+            queue.forget(request.rid)
             self.scheduler.on_layer_complete(request, now)
             request.finish_time = now
             self.completed += 1
@@ -747,10 +804,15 @@ class Pool:
                     KIND_VIOLATE if request.violated else KIND_COMPLETE,
                     now, pool=self.name, npu=npu, rid=request.rid,
                 )
+            if push_event is not None and queue and self.idle:
+                # Settled, so the queue was waiting on a busy pool: the
+                # freed npu is the only idle one and the next decision.
+                self.in_place_blocks += 1
+                self.dispatch(now, push_event)
             return True
         # Re-admit before the monitor callback so converted schedulers can
         # refresh the request's row (parked at dispatch, aux state intact).
-        self.queue.append(request)
+        queue.append(request)
         self.scheduler.on_layer_complete(request, now)
         if self._note_progress is not None:
             self._note_progress(self, request)
@@ -758,42 +820,6 @@ class Pool:
             self._p_queue_s += perf_counter() - t0
             self._p_queue_c += 1
         return False
-
-    def _continue(self, now: float, npu: int, request: Request,
-                  push_event: Callable[..., None],
-                  horizon: Callable[[], float]) -> None:
-        """Run the lone ``request`` on ``npu`` from ``now``, folding in place
-        every block that ends before the horizon (see
-        :meth:`complete_block`), and push the first one that does not.
-
-        Nothing that the continuation conditions read can change before the
-        horizon: the queue gains no arrival, no autoscaler tick marks
-        ``npu`` draining and no other accelerator frees up, so each folded
-        block continues again.
-        """
-        until = horizon()
-        while True:
-            if not self.scheduler.trivial_single:
-                # Per-select state (the current or resident request) must
-                # follow the forced decision exactly as a dispatch would.
-                self.scheduler.select_single((request,), now)
-            self.continued_blocks += 1
-            end, layers, dt = self._start_block(now, npu, request, 1, True, None)
-            if end >= until or request.next_layer + layers >= request._num_layers:
-                break
-            if self._note_progress is not None:
-                self._note_progress(self, request)
-            now = end
-            self._fold_block(now, npu, request, layers, dt)
-        if self._prof is None:
-            push_event(end, self, npu, request, layers, dt)
-        else:
-            t_push = perf_counter()
-            push_event(end, self, npu, request, layers, dt)
-            self._p_heap_s += perf_counter() - t_push
-            self._p_heap_c += 1
-        if self._note_progress is not None:
-            self._note_progress(self, request)
 
 
 def check_unique_names(pools: List[Pool]) -> None:

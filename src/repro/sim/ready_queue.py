@@ -110,9 +110,10 @@ class ReadyQueue(Sequence):
         #: cover live and parked rows alike.
         self._parked: Dict[int, int] = {}
         self._missing = 0  # live requests without a LUT entry
-        #: Change journal for the incremental selection cache: rids touched
-        #: since the cache last rebuilt.  ``None`` until a cache attaches via
-        #: :meth:`enable_journal`, so runs without a cache pay nothing.
+        #: Change journal for the incremental selection cache: live rids
+        #: touched since the cache's previous lookup.  ``None`` until a
+        #: cache attaches via :meth:`enable_journal`, so runs without a
+        #: cache pay nothing.
         self._journal: Optional[set] = None
         self._journal_all = True
 

@@ -120,7 +120,8 @@ class _ListQueue(list):
 
 class ReferencePool(Pool):
     """The pool spec: a plain-list queue, ``select`` at every decision and
-    no same-accelerator continuation.
+    every block boundary through the event heap and the engine's full
+    admit/dispatch tail (no in-place decision).
 
     :class:`~repro.cluster.Pool` must reproduce its schedules, as
     :func:`~repro.sim.engine.simulate` reproduces
@@ -145,3 +146,8 @@ class ReferencePool(Pool):
                 )
             self.queue.remove(chosen)
             self._start_block(now, npu, chosen, nq, False, push_event)
+
+    def complete_block(self, now, npu, request, layers, dt, t_entry=None,
+                       push_event=None, horizon=None):
+        # Without ``push_event`` the pool decides nothing in place.
+        return super().complete_block(now, npu, request, layers, dt, t_entry)

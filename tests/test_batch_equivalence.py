@@ -21,18 +21,22 @@ import pytest
 
 from repro.cluster import (
     AdmissionController,
+    Autoscaler,
     Pool,
     build_router,
     make_autoscaler,
     simulate_cluster,
 )
+from repro.cluster.policies import AutoscalePolicy
 from repro.energy import EnergyAccountant
 from repro.errors import SchedulingError
 from repro.core.lut import ModelInfoLUT
+from repro.faults import FaultEvent, FaultSpec
+from repro.faults.spec import KIND_OUTAGE
 from repro.obs import ListSink, Observability
 from repro.obs.bus import ENGINE_LANE
 from repro.profiling.profiler import benchmark_suite
-from repro.schedulers.base import available_schedulers, make_scheduler
+from repro.schedulers.base import Scheduler, available_schedulers, make_scheduler
 from repro.sim.engine import simulate, simulate_reference
 from repro.sim.multi import simulate_multi
 from repro.sim.workload import WorkloadSpec, generate_workload
@@ -232,9 +236,10 @@ class TestClusterEquivalence:
     @pytest.mark.parametrize("seed", (0, 1))
     def test_continuation_keeps_running_order(self, mixed_world, name, seed):
         # The SLO guard, predictive autoscaler and router sum floats over
-        # Pool.pending(), i.e. over ``running`` in insertion order, so a
-        # continued npu must move to the end exactly as complete + dispatch
-        # moves it.  Three accelerators: with two, the completing npu has
+        # Pool.pending(), i.e. over ``running`` in insertion order, so an
+        # npu decided in place must move to the end exactly as complete +
+        # dispatch moves it, whether the queue is empty (a continuation)
+        # or not.  Three accelerators: with two, the completing npu has
         # already left ``running`` whenever admission looks.
         traces, lut = mixed_world
 
@@ -256,7 +261,8 @@ class TestClusterEquivalence:
         scalar_seen, scalar = run(ReferencePool)
         batch_seen, batch = run(Pool)
         assert batch.num_continued_blocks > 0
-        assert scalar.num_continued_blocks == 0
+        assert batch.num_in_place_blocks > batch.num_continued_blocks
+        assert scalar.num_in_place_blocks == scalar.num_continued_blocks == 0
         assert batch_seen == scalar_seen
 
     @pytest.mark.parametrize("name", DRAIN_SAFE)
@@ -385,6 +391,38 @@ class TestClusterEquivalence:
         _, scalar = _run_cell(cell)
         assert batch == scalar
 
+    @pytest.mark.parametrize("name", available_schedulers())
+    @pytest.mark.parametrize("num_npus", (2, 3))
+    @pytest.mark.parametrize("block_size", (1, 2))
+    @pytest.mark.parametrize("switch_cost", (0.0, 0.002))
+    def test_in_place_decisions_match_reference(self, toy_traces, toy_lut, name,
+                                                num_npus, block_size,
+                                                switch_cost):
+        # The differential run: queues well past inc_min_queue, so in-place
+        # decisions go through the selection cache, and everything the
+        # pool charges, emits or exposes to telemetry must match the spec.
+        accountant = EnergyAccountant.from_model_lut(toy_lut)
+        spec = WorkloadSpec(400.0, n_requests=150, slo_multiplier=5.0, seed=2)
+
+        def run(pool_cls):
+            pool = pool_cls("p", scheduler_for(name, toy_lut), num_npus,
+                            block_size=block_size, switch_cost=switch_cost)
+            sink = ListSink()
+            obs = Observability(sinks=[sink], telemetry=0.05)
+            result = simulate_cluster(generate_workload(toy_traces, spec), [pool],
+                                      energy=accountant, obs=obs)
+            stats = result.pool_stats["p"]
+            return (result, [(r.rid, r.finish_time) for r in result.requests],
+                    (result.num_scheduler_invocations, result.num_preemptions,
+                     stats.busy_time, stats.joules_busy),
+                    spans(sink), obs.telemetry.to_table())
+
+        scalar, *expected = run(ReferencePool)
+        batch, *got = run(Pool)
+        assert batch.max_queue_length >= Scheduler.inc_min_queue
+        assert batch.num_in_place_blocks > 0
+        assert got == expected
+
     def test_shared_scheduler_instance_rejected(self, toy_traces, toy_lut):
         # A scheduler instance binds to one pool's queue (and carries
         # per-run state), so sharing it across pools must fail loudly.
@@ -392,6 +430,109 @@ class TestClusterEquivalence:
         pools = [Pool("a", shared, 1), Pool("b", shared, 1)]
         with pytest.raises(SchedulingError, match="share one scheduler"):
             simulate_cluster(toy_workload(toy_traces, n=5), pools, "jsq")
+
+
+def spans(sink):
+    return [(e.kind, e.time, e.dur, e.pool, e.npu, e.rid, e.args)
+            for e in sink.events]
+
+
+def layered(rid, latencies, arrival=0.0):
+    """A toy request with the given per-layer latencies."""
+    return make_request(rid=rid, model="long", arrival=arrival, slo=10.0,
+                        latencies=latencies,
+                        sparsities=(0.3,) * len(latencies))
+
+
+class _ShrinkOnce(AutoscalePolicy):
+    """Marks one busy accelerator draining at the first tick."""
+
+    def reset(self, pools):
+        self.done = False
+
+    def desired_capacity(self, pool, now, horizon):
+        if self.done:
+            return pool.provision_target
+        self.done = True
+        return pool.provision_target - 1
+
+
+class TestInPlaceStretchStops:
+    """A stretch of in-place decisions over a non-empty queue folds blocks
+    only while nothing else could happen: each case below puts another
+    event at or just after a block end inside such a stretch, and the pool
+    must match the spec's heap-and-tail schedule, spans and telemetry."""
+
+    @staticmethod
+    def compare(requests, name, lut, num_npus, telemetry=None, **sim_kw):
+        def run(pool_cls):
+            sink = ListSink()
+            obs = Observability(sinks=[sink], telemetry=telemetry)
+            pool = pool_cls("p", scheduler_for(name, lut), num_npus)
+            result = simulate_cluster(requests(), [pool], obs=obs, **sim_kw)
+            table = obs.telemetry.to_table() if telemetry else None
+            return result, (schedule(result), spans(sink), table)
+
+        _, expected = run(ReferencePool)
+        batch, got = run(Pool)
+        # In-place decisions over a non-empty queue did happen.
+        assert batch.num_in_place_blocks > batch.num_continued_blocks
+        assert got == expected
+        return batch
+
+    @pytest.mark.parametrize("name", ("dysta", "fcfs", "prema"))
+    def test_arrival_within_eps(self, toy_lut, name):
+        # The third request arrives 5e-13 s after the 0.02 boundary: within
+        # _EPS, so the engine admits it there and the block ending at 0.02
+        # must reach the heap.
+        def requests():
+            return [layered(0, (0.01,) * 3), layered(1, (0.01,) * 3),
+                    layered(2, (0.01,) * 3, arrival=0.02 + 5e-13)]
+
+        self.compare(requests, name, toy_lut, 1)
+
+    @pytest.mark.parametrize("name", ("dysta", "fcfs", "prema"))
+    def test_tied_heap_top(self, toy_lut, name):
+        # Request 0's second block ends at 0.02, exactly when request 1's
+        # one block does; that event is already on the heap and pops first.
+        def requests():
+            return [layered(0, (0.01,) * 3), layered(1, (0.02,)),
+                    layered(2, (0.01,) * 3), layered(3, (0.01,) * 3)]
+
+        self.compare(requests, name, toy_lut, 2)
+
+    @pytest.mark.parametrize("name", ("dysta", "fcfs", "prema"))
+    def test_telemetry_sample(self, toy_lut, name):
+        # Samples at 0.015, 0.045, ... fall mid-block; the metered joules
+        # they read must not include blocks that end after them.
+        def requests():
+            return [layered(rid, (0.01,) * 3) for rid in range(4)]
+
+        self.compare(requests, name, toy_lut, 1, telemetry=0.015,
+                     energy=EnergyAccountant.from_model_lut(toy_lut))
+
+    @pytest.mark.parametrize("name", ("dysta", "fcfs", "prema"))
+    def test_autoscaler_tick_marks_npu_draining(self, toy_lut, name):
+        # The tick at 0.015 marks accelerator 1 draining mid-stretch: its
+        # next boundary must retire it instead of deciding it in place.
+        def requests():
+            return [layered(rid, (0.01,) * 3) for rid in range(5)]
+
+        batch = self.compare(
+            requests, name, toy_lut, 2,
+            autoscaler=Autoscaler(_ShrinkOnce(), interval=0.015,
+                                  cooldown_down=0.0))
+        assert batch.pool_stats["p"].num_accelerators == 1
+
+    @pytest.mark.parametrize("name", ("dysta", "fcfs", "prema"))
+    def test_fault_boundary(self, toy_lut, name):
+        def requests():
+            return [layered(rid, (0.01,) * 3) for rid in range(5)]
+
+        faults = FaultSpec((FaultEvent(KIND_OUTAGE, 0.025, duration=0.01,
+                                       pool="p", count=1),))
+        batch = self.compare(requests, name, toy_lut, 2, faults=faults)
+        assert batch.pool_stats["p"].fault_kills == 1
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,8 @@ from repro.schedulers.base import make_scheduler
 from repro.sim.ready_queue import ReadyQueue
 from repro.sim.workload import WorkloadSpec, generate_workload
 
+from conftest import make_request
+
 #: Policies with an incremental select (cache on by default).
 INCREMENTAL = (
     "dysta",
@@ -171,9 +173,10 @@ class TestLockstepParity:
         lane = lockstep(name, toy_lut, toy_traces, seed)
         cache = lane.sched._cache
         assert cache is not None
-        # The cache must have answered from the ladder at least sometimes —
-        # otherwise the test only compared two full scans.
-        assert cache.num_hits > 0
+        # The cache must have answered without a full scan at least
+        # sometimes — otherwise the test only compared two full scans —
+        # and some of those answers scored only the changed rows.
+        assert cache.num_hits > cache.num_changed_hits > 0
         assert cache.num_scans > 0  # and rebuilt when the journal overflowed
 
     @pytest.mark.parametrize("name", OPTED_OUT)
@@ -181,6 +184,41 @@ class TestLockstepParity:
             self, toy_traces, toy_lut, name):
         lane = lockstep(name, toy_lut, toy_traces, seed=3)
         assert lane.sched._cache is None  # opt-out respected
+
+
+class TestChangedRows:
+    @pytest.mark.parametrize("name", INCREMENTAL)
+    def test_grown_queue_falls_back(self, toy_lut, name):
+        # The runner-up bound S holds only while the queue is no larger
+        # than when S was taken: Dysta's waiting penalty shrinks as the
+        # queue grows.  A lookup after an arrival must not use it.  One
+        # short request among long ones wins on every policy's primary
+        # score, with no tie for S to break.
+        def requests():
+            short = [make_request(rid=0, arrival=0.0, slo=0.01)]
+            return short + [
+                make_request(rid=rid, model="long", arrival=0.001 * rid,
+                             slo=0.1 + 0.01 * rid, latencies=(0.01,) * 3,
+                             sparsities=(0.3,) * 3)
+                for rid in range(1, 13)
+            ]
+
+        lanes = [Lane(name, toy_lut, incremental=True),
+                 Lane(name, toy_lut, incremental=False)]
+        workloads = [requests() for _ in lanes]
+        now = 0.02
+        for lane, workload in zip(lanes, workloads):
+            for request in workload[:-1]:
+                lane.arrive(request, now)
+        cache = lanes[0].sched._cache
+        winner = cache.lookup(now)  # full scan
+        assert cache.lookup(now) is winner  # only the winner is scored
+        assert (cache.num_scans, cache.num_changed_hits) == (1, 1)
+        for lane, workload in zip(lanes, workloads):
+            lane.arrive(workload[-1], now)
+        chosen = cache.lookup(now)
+        assert cache.num_changed_hits == 1
+        assert chosen.rid == lanes[1].sched.select_batch(lanes[1].queue, now).rid
 
 
 class TestOptOuts:
