@@ -13,8 +13,7 @@ Default scale is 20k requests so the bench suite stays quick;
 ``REPRO_BENCH_FULL=1`` runs the full 100k stream and
 ``REPRO_BENCH_SMOKE=1`` shrinks it to a CI-sized smoke that still asserts
 the vectorized fast path, the pools' in-place decisions and their
-same-accelerator block continuation, and the selection cache's
-changed-rows tier engaged.
+same-accelerator block continuation, and selection-cache hits engaged.
 """
 
 import os
@@ -65,12 +64,12 @@ def _replay(traces, lut, affinity, router_name):
     assert result.num_completed == N_REQUESTS
     # ... and must run on the vectorized fast path, deciding settled block
     # boundaries in place (continuing lone requests on the same
-    # accelerator when a pool drains) and scoring only the changed rows
-    # when the previous winner still wins.
+    # accelerator when a pool drains) and answering selections from the
+    # cache's changed rows when the previous winner still wins.
     assert result.num_batch_selects > 0
     assert result.num_in_place_blocks > 0
     assert result.num_continued_blocks > 0
-    assert sum(pool.scheduler._cache.num_changed_hits for pool in pools) > 0
+    assert sum(pool.scheduler._cache.num_hits for pool in pools) > 0
     return result
 
 

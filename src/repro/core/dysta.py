@@ -232,8 +232,7 @@ class DystaScheduler(Scheduler):
         # policy never tracks one, so the guard is constantly None.
         return self._resident
 
-    def inc_best(self, queue: "ReadyQueue", idxs, now: float,
-                 clear_at: float, journal: set):
+    def inc_best(self, queue: "ReadyQueue", idxs, now: float):
         """List kernel: :meth:`dynamic_score` term for term over the list
         mirrors (fp16 quantization excepted: that mode scores with numpy)."""
         eta = self.eta
@@ -263,17 +262,11 @@ class DystaScheduler(Scheduler):
                 score += swc
             if score < b_score or (score == b_score and rid < b_rid):
                 best, b_score, b_rid = i, score, rid
-            elif score >= clear_at and rem + eta * slack >= clear_at:
-                # The penalty-free anchor already clears the epoch bound:
-                # this row cannot win again before the next full scan.
-                journal.discard(rid)
         return best, b_score
 
     def np_scores(self, queue: "ReadyQueue", now: float):
         """Numpy kernel: the same expression tree over the array columns,
-        quantized like :meth:`dynamic_score` in fp16 mode; ``pen_scale`` is
-        the scan-time max of the shrinkable penalty term (the cache's
-        queue-growth correction)."""
+        quantized like :meth:`dynamic_score` in fp16 mode."""
         n = queue._n
         rem = queue.aux_np(_AUX_REM)[:n]
         fp16 = self.score_dtype == "fp16"
@@ -282,14 +275,13 @@ class DystaScheduler(Scheduler):
         slack = np.maximum(queue.np_deadline[:n] - now - rem,
                            queue.aux_np(_AUX_NEG_ISO)[:n])
         wait = np.maximum(now - queue.np_last_run_end[:n], 0.0)
-        pen = (wait / queue.aux_np(_AUX_ISO)[:n]) / n
-        score = rem + self.eta * (slack + pen)
+        score = rem + self.eta * (slack + (wait / queue.aux_np(_AUX_ISO)[:n]) / n)
         if fp16:
             score = score.astype(np.float16).astype(np.float64)
         rid = queue.np_rid[:n]
         if self.switch_cost and self._resident is not None:
             score = np.where(rid != self._resident, score + self.switch_cost, score)
-        return score, (rid,), self.eta * float(pen.max())
+        return score, (rid,)
 
 
 @register_scheduler("dysta")
@@ -406,8 +398,7 @@ class DystaStaticOnly(Scheduler):
     def select_single(self, queue: "ReadyQueue", now: float) -> Request:
         return queue[0]
 
-    def inc_best(self, queue: "ReadyQueue", idxs, now: float,
-                 clear_at: float, journal: set):
+    def inc_best(self, queue: "ReadyQueue", idxs, now: float):
         sc_l = self._t_sc
         rid_l = queue.ls_rid
         best = -1
@@ -415,8 +406,6 @@ class DystaStaticOnly(Scheduler):
         for i in idxs:
             score = sc_l[i]
             if score > b_score:
-                if score >= clear_at:
-                    journal.discard(rid_l[i])
                 continue
             rid = rid_l[i]
             if score < b_score or rid < b_rid:
@@ -425,4 +414,4 @@ class DystaStaticOnly(Scheduler):
 
     def np_scores(self, queue: "ReadyQueue", now: float):
         n = queue._n
-        return queue.aux_np("static_score")[:n], (queue.np_rid[:n],), 0.0
+        return queue.aux_np("static_score")[:n], (queue.np_rid[:n],)

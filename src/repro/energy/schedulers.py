@@ -154,8 +154,7 @@ class EnergyEDPScheduler(Scheduler):
     def inc_guard(self):
         return self._resident_kid
 
-    def inc_best(self, queue: "ReadyQueue", idxs, now: float,
-                 clear_at: float, journal: set):
+    def inc_best(self, queue: "ReadyQueue", idxs, now: float):
         base_l = queue.aux_list(_AUX_BASE)
         pen_l = queue.aux_list(_AUX_PENALTY)
         kid_l = queue.aux_list(_AUX_KID)
@@ -169,8 +168,6 @@ class EnergyEDPScheduler(Scheduler):
             if kid_l[i] != res_f:
                 sc = sc + pen_l[i]
             if sc > b_sc:
-                if sc >= clear_at:
-                    journal.discard(rid_l[i])
                 continue
             arr = arr_l[i]
             rid = rid_l[i]
@@ -186,7 +183,7 @@ class EnergyEDPScheduler(Scheduler):
             queue.aux_np(_AUX_PENALTY)[:n],
             0.0,
         )
-        return score, (queue.np_arrival[:n], queue.np_rid[:n]), 0.0
+        return score, (queue.np_arrival[:n], queue.np_rid[:n])
 
     def select_batch(self, queue: "ReadyQueue", now: float) -> Request:
         chosen = Scheduler.select_batch(self, queue, now)

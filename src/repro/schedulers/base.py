@@ -24,8 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Start value of every list kernel's running best (a module global is
 #: cheaper than a ``float("inf")`` call per selection).
 INF = float("inf")
-#: Journal for list-kernel scans outside the cache: nothing is ever added.
-_NO_JOURNAL: set = set()
 
 
 class Scheduler(abc.ABC):
@@ -85,8 +83,11 @@ class Scheduler(abc.ABC):
     incremental: bool = True
 
     #: Upper bound on how fast an *untouched* row's score can decrease per
-    #: unit of simulated time (0 for static selection keys; ``eta`` for the
-    #: Dysta family, whose slack term decays at most at rate 1).
+    #: unit of simulated time (``eta`` for the Dysta family, whose slack
+    #: term decays at most at rate 1).  0 promises a static selection key:
+    #: an untouched row's score depends on neither time nor queue size, so
+    #: the cache may answer across arrivals (a nonzero rate refuses once
+    #: the queue has grown, as Dysta's penalty shrinks with queue size).
     inc_decay_rate: float = 0.0
 
     #: Float-rounding slack subtracted from the acceptance bound.  Static-
@@ -94,11 +95,8 @@ class Scheduler(abc.ABC):
     #: recomputed per lookup and need a hair of headroom.
     inc_margin: float = 0.0
 
-    #: Selection-cache tuning (see :mod:`repro.sim.select_cache`).  Every
-    #: cache lookup walks the whole ladder, so its size is the steady-state
-    #: per-decision cost; 8 keeps lookups cheap while still amortizing a
-    #: full re-scan over many selections.
-    inc_ladder_k: int = 8
+    #: Most rows the selection cache re-scores per lookup: a journal of
+    #: more touched rows than this forces a full scan.
     inc_journal_cap: int = 48
 
     #: Queue depth below which ``select_batch`` bypasses the selection cache
@@ -147,32 +145,28 @@ class Scheduler(abc.ABC):
         """
         return None
 
-    def inc_best(self, queue: "ReadyQueue", idxs: Sequence[int], now: float,
-                 clear_at: float, journal: set) -> Tuple[int, float]:
+    def inc_best(self, queue: "ReadyQueue", idxs: Sequence[int],
+                 now: float) -> Tuple[int, float]:
         """List kernel: exact-score the candidate rows ``idxs``; return
         (index, primary score) of the native-tie-broken best (or
-        ``(-1, inf)``).  Rows whose penalty-free score anchor is >=
-        ``clear_at`` may be dropped from ``journal`` (they cannot win again
-        this scan epoch)."""
+        ``(-1, inf)``)."""
         raise SchedulingError(
             f"scheduler {self.name!r} does not implement inc_best"
         )
 
     def np_scores(self, queue: "ReadyQueue", now: float):
-        """Numpy kernel over the whole queue: ``(score, tie_columns,
-        pen_scale)``, where ``tie_columns`` (ending in the rid column) break
-        ties in :func:`~repro.sim.ready_queue.np_lexmin` and ``pen_scale``
-        bounds the shrinkable penalty term for the selection cache (0 for
-        static keys)."""
+        """Numpy kernel over the whole queue: ``(score, tie_columns)``,
+        where ``tie_columns`` (ending in the rid column) break ties in
+        :func:`~repro.sim.ready_queue.np_lexmin`."""
         raise SchedulingError(
             f"scheduler {self.name!r} does not implement np_scores"
         )
 
     def inc_full_scan(self, queue: "ReadyQueue", now: float, cache) -> Request:
-        """Full numpy scan that also rebuilds ``cache`` (ladder + bound)."""
-        score, ties, pen_scale = self.np_scores(queue, now)
+        """Full numpy scan that also resets ``cache``'s runner-up bound."""
+        score, ties = self.np_scores(queue, now)
         chosen = queue._requests[np_lexmin(score, *ties)]
-        cache.rebuild(score, now, pen_scale)
+        cache.rebuild(score, now)
         return chosen
 
     def select_checked(self, queue: Sequence[Request], now: float) -> Request:
@@ -200,9 +194,9 @@ class Scheduler(abc.ABC):
         if cache is not None and n >= self.inc_min_queue:
             return cache.lookup(now)
         if n >= self.numpy_min_queue:
-            score, ties, _ = self.np_scores(queue, now)
+            score, ties = self.np_scores(queue, now)
             return queue._requests[np_lexmin(score, *ties)]
-        return queue._requests[self.inc_best(queue, range(n), now, INF, _NO_JOURNAL)[0]]
+        return queue._requests[self.inc_best(queue, range(n), now)[0]]
 
     def reset(self) -> None:
         """Clear any cross-run state; called by the engine before a run."""

@@ -25,8 +25,7 @@ class FCFSScheduler(Scheduler):
     def reset(self) -> None:
         self._current: Optional[Request] = None
 
-    def inc_best(self, queue: "ReadyQueue", idxs, now: float,
-                 clear_at: float, journal: set):
+    def inc_best(self, queue: "ReadyQueue", idxs, now: float):
         arr_l = queue.ls_arrival
         rid_l = queue.ls_rid
         best = -1
@@ -34,8 +33,6 @@ class FCFSScheduler(Scheduler):
         for i in idxs:
             arr = arr_l[i]
             if arr > b_arr:
-                if arr >= clear_at:
-                    journal.discard(rid_l[i])
                 continue
             rid = rid_l[i]
             if arr < b_arr or rid < b_rid:
@@ -44,7 +41,7 @@ class FCFSScheduler(Scheduler):
 
     def np_scores(self, queue: "ReadyQueue", now: float):
         n = queue._n
-        return queue.np_arrival[:n], (queue.np_rid[:n],), 0.0
+        return queue.np_arrival[:n], (queue.np_rid[:n],)
 
     def select(self, queue: Sequence[Request], now: float) -> Request:
         if self._current is not None and not self._current.is_done and self._current in queue:

@@ -60,8 +60,7 @@ class OracleScheduler(Scheduler):
     def select_single(self, queue: "ReadyQueue", now: float) -> Request:
         return queue[0]
 
-    def inc_best(self, queue: "ReadyQueue", idxs, now: float,
-                 clear_at: float, journal: set):
+    def inc_best(self, queue: "ReadyQueue", idxs, now: float):
         eta = self.eta
         rem_l = queue.ls_true_remaining
         iso_l = queue.ls_true_isolated
@@ -84,8 +83,6 @@ class OracleScheduler(Scheduler):
             rid = rid_l[i]
             if score < b_score or (score == b_score and rid < b_rid):
                 best, b_score, b_rid = i, score, rid
-            elif score >= clear_at and rem + eta * slack >= clear_at:
-                journal.discard(rid)
         return best, b_score
 
     def np_scores(self, queue: "ReadyQueue", now: float):
@@ -95,7 +92,4 @@ class OracleScheduler(Scheduler):
         iso = np.maximum(queue.np_true_isolated[:n], 1e-12)
         slack = np.maximum(queue.np_deadline[:n] - now - rem, -iso)
         penalty = ((now - queue.np_last_run_end[:n]) / iso) / n
-        score = rem + eta * (slack + penalty)
-        pen_max = float(penalty.max())
-        return (score, (queue.np_rid[:n],),
-                eta * pen_max if pen_max > 0.0 else 0.0)
+        return rem + eta * (slack + penalty), (queue.np_rid[:n],)

@@ -59,8 +59,8 @@ class PlanariaScheduler(Scheduler):
     def select_single(self, queue: "ReadyQueue", now: float) -> Request:
         return queue[0]
 
-    def inc_best(self, queue: "ReadyQueue", idxs: Sequence[int], now: float,
-                 clear_at: float, journal: set) -> Tuple[int, float]:
+    def inc_best(self, queue: "ReadyQueue", idxs: Sequence[int],
+                 now: float) -> Tuple[int, float]:
         rem_l = queue.ls_est_remaining
         dl_l = queue.ls_deadline
         rid_l = queue.ls_rid
@@ -85,4 +85,4 @@ class PlanariaScheduler(Scheduler):
         n = queue._n
         rem = queue.np_est_remaining[:n]
         dl = queue.np_deadline[:n]
-        return ~(now + rem <= dl), (dl - now - rem, queue.np_rid[:n]), 0.0
+        return ~(now + rem <= dl), (dl - now - rem, queue.np_rid[:n])

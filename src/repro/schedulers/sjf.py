@@ -39,8 +39,8 @@ class SJFScheduler(Scheduler):
     def select_single(self, queue: "ReadyQueue", now: float) -> Request:
         return queue[0]
 
-    def inc_best(self, queue: "ReadyQueue", idxs: Sequence[int], now: float,
-                 clear_at: float, journal: set) -> Tuple[int, float]:
+    def inc_best(self, queue: "ReadyQueue", idxs: Sequence[int],
+                 now: float) -> Tuple[int, float]:
         rem_l = queue.ls_est_remaining
         arr_l = queue.ls_arrival
         rid_l = queue.ls_rid
@@ -49,8 +49,6 @@ class SJFScheduler(Scheduler):
         for i in idxs:
             rem = rem_l[i]
             if rem > b_rem:
-                if rem >= clear_at:
-                    journal.discard(rid_l[i])
                 continue
             arr = arr_l[i]
             rid = rid_l[i]
@@ -60,5 +58,4 @@ class SJFScheduler(Scheduler):
 
     def np_scores(self, queue: "ReadyQueue", now: float):
         n = queue._n
-        return (queue.np_est_remaining[:n],
-                (queue.np_arrival[:n], queue.np_rid[:n]), 0.0)
+        return queue.np_est_remaining[:n], (queue.np_arrival[:n], queue.np_rid[:n])

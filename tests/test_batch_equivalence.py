@@ -582,7 +582,11 @@ class TestIncrementalEquivalence:
         sched = cached(scheduler_for(name, toy_lut))
         inc = simulate(toy_workload(toy_traces), sched)
         assert_identical(ref, inc)
-        if sched.supports_incremental:
+        # On one accelerator fcfs consults the cache only once its current
+        # request has finished, when the changed rows cannot decide, so
+        # every such lookup scans; test_multi_accelerator_identical checks
+        # its hits.
+        if sched.supports_incremental and name != "fcfs":
             assert sched._cache is not None and sched._cache.num_hits > 0
 
     @pytest.mark.parametrize("name", ("dysta", "sjf", "oracle"))
@@ -616,7 +620,7 @@ class TestIncrementalEquivalence:
         assert_identical(ref, inc)
         assert sched._cache is None
 
-    @pytest.mark.parametrize("name", ("dysta", "oracle", "energy_edp"))
+    @pytest.mark.parametrize("name", ("dysta", "oracle", "energy_edp", "fcfs"))
     def test_multi_accelerator_identical(self, toy_traces, toy_lut, name):
         ref = simulate_multi(toy_workload(toy_traces),
                              brute(scheduler_for(name, toy_lut)),

@@ -12,8 +12,12 @@ would.  Four paths must agree for every incremental policy:
   kernel ``inc_best`` over every row;
 * the numpy kernel ``np_scores`` (``incremental=False``,
   ``numpy_min_queue=0``);
-* the selection cache (``inc_min_queue=0``): a full scan, then lookups
-  answered from the ladder through ``inc_best``.
+* the selection cache (``inc_min_queue=0``): a full scan, then lookups.
+  A winner tied with an untouched row never clears the cache's strict
+  runner-up bound, so these lookups scan again (dysta_switchaware's
+  switch cost separates the resident from its clones);
+  :func:`test_changed_rows_decide_among_tied_rows` checks the list kernel
+  deciding a cache hit among tied rows instead.
 
 Planaria has no cache, so its exact ties (equal slack, a request exactly on
 the feasibility boundary, a queue with no feasible request) are checked on
@@ -59,24 +63,28 @@ def scheduler_for(name, lut, **attrs):
     return sched
 
 
-def clones(name, rids, arrivals):
+def clones(name, rids, arrivals, last_run_end=0.5):
     requests = []
     for rid in rids:
         arrival = arrivals[rid]
         slo = 1.0 - arrival if name in DEADLINE_SCORED else 1.0
         request = make_request(rid=rid, arrival=arrival, slo=slo)
-        request.last_run_end = 0.5  # one waiting time for every clone
+        request.last_run_end = last_run_end  # one waiting time for every clone
         requests.append(request)
     return requests
+
+
+def admit(sched, queue, requests):
+    for request in requests:
+        queue.add(request)
+        sched.on_arrival(request, NOW)
 
 
 def bound(name, lut, rids, arrivals, **attrs):
     sched = scheduler_for(name, lut, **attrs)
     queue = ReadyQueue(lut, columns=sched.batch_columns)
     sched.bind_queue(queue)
-    for request in clones(name, rids, arrivals):
-        queue.add(request)
-        sched.on_arrival(request, NOW)
+    admit(sched, queue, clones(name, rids, arrivals))
     return sched, queue
 
 
@@ -102,7 +110,7 @@ def picks_on_every_path(name, lut, rids, arrivals):
     cache = sched._cache
     cached = [sched.select_batch(queue, NOW).rid]
     cached += [cache.lookup(NOW).rid for _ in range(2)]
-    assert cache.num_scans >= 1 and cache.num_hits >= 1
+    assert cache.num_scans >= 2
     assert len(set(cached)) == 1, cached
     picks.append(cached[0])
     return picks
@@ -126,6 +134,42 @@ def test_all_rows_tied(toy_lut, name, order):
 def test_score_tied_with_mixed_arrivals(toy_lut, name, order):
     picks = picks_on_every_path(name, toy_lut, ORDERS[order], MIXED_ARRIVALS)
     assert picks == [102 if name in ARRIVAL_FIRST else 101] * 4
+
+
+@pytest.mark.parametrize("arrivals", (ALL_TIED, MIXED_ARRIVALS),
+                         ids=("all_tied", "mixed_arrivals"))
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name", INCREMENTAL)
+def test_changed_rows_decide_among_tied_rows(toy_lut, name, order, arrivals):
+    # The clones arrive after a full scan over long requests that arrived
+    # later, so they are changed rows strictly below every untouched row:
+    # the cache answers from them, and the list kernel breaks their tie.
+    sched = scheduler_for(name, toy_lut, inc_min_queue=0)
+    queue = ReadyQueue(toy_lut, columns=sched.batch_columns)
+    sched.bind_queue(queue)
+    slo = 0.4 if name in DEADLINE_SCORED else 1.0  # deadline 1.0 as the clones'
+    longs = [make_request(rid=rid, model="long", arrival=0.6, slo=slo,
+                          latencies=(0.01,) * 3, sparsities=(0.3,) * 3)
+             for rid in range(1, 13)]
+    admit(sched, queue, longs)
+    cache = sched._cache
+    winner = cache.lookup(NOW)  # the full scan
+    # Six untouched long rows leave, so the queue is no larger than at the
+    # scan (the Dysta family's penalty shrinks as the queue grows).
+    for request in [r for r in longs if r is not winner][:6]:
+        queue.remove(request)
+    # No waiting time: the clones' penalty must not outweigh their short
+    # remaining time on the Dysta family.
+    tied = clones(name, ORDERS[order], arrivals, last_run_end=NOW)
+    admit(sched, queue, tied)
+    chosen = cache.lookup(NOW)
+    assert (cache.num_scans, cache.num_hits) == (1, 1)
+    spec = scheduler_for(name, toy_lut)
+    live = list(queue)
+    for request in live:
+        spec.on_arrival(request, NOW)
+    expected = 102 if name in ARRIVAL_FIRST and arrivals is MIXED_ARRIVALS else 101
+    assert chosen.rid == spec.select(live, NOW).rid == expected
 
 
 # -- Planaria: lexicographic minimum of (infeasible, slack, rid) -------------
