@@ -6,7 +6,10 @@ rounds — regression guards for the simulator.
 
 ``REPRO_BENCH_SMOKE=1`` switches to a single-round smoke mode sized for CI:
 it still asserts that decisions went through ``select_single`` /
-``select_batch`` (``num_batch_selects > 0``).  That a converted policy
+``select_batch`` (``num_batch_selects > 0``), that the shallow runs stay on
+the ready queue's lists (``num_vectorized == 0`` below ``numpy_min_queue``)
+and that the deep-queue run fills its numpy columns (``num_vectorized >
+0``).  That a converted policy
 still reaches its kernels rather than ``select`` is checked by
 ``tests/test_batch_equivalence.py::test_converted_policies_never_call_select``.
 """
@@ -32,6 +35,14 @@ def _fresh_workload(traces, n=N_REQUESTS, seed=0):
     return generate_workload(traces, spec)
 
 
+def _assert_list_only(result, scheduler):
+    """A shallow run never reads a numpy column, so the ready queue never
+    copies its lists into them (the depth check keeps this from passing
+    vacuously)."""
+    assert result.max_queue_length < scheduler.numpy_min_queue
+    assert scheduler._bound.num_vectorized == 0
+
+
 def bench_perf_profiling_throughput(benchmark):
     """Phase-1 speed: profile BERT x 200 samples (vectorized cost model)."""
     model = build_model("bert")
@@ -52,11 +63,12 @@ def bench_perf_engine_dysta(benchmark):
         return (_fresh_workload(traces), make_scheduler("dysta", lut)), {}
 
     def run(requests, scheduler):
-        return simulate(requests, scheduler)
+        return simulate(requests, scheduler), scheduler
 
-    result = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
+    result, sched = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
     assert len(result.requests) == N_REQUESTS
     assert result.num_batch_selects > 0
+    _assert_list_only(result, sched)
 
 
 def bench_perf_engine_dysta_scalar(benchmark):
@@ -84,11 +96,12 @@ def bench_perf_engine_fcfs(benchmark):
         return (_fresh_workload(traces), make_scheduler("fcfs", lut)), {}
 
     def run(requests, scheduler):
-        return simulate(requests, scheduler)
+        return simulate(requests, scheduler), scheduler
 
-    result = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
+    result, sched = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
     assert len(result.requests) == N_REQUESTS
     assert result.num_batch_selects > 0
+    _assert_list_only(result, sched)
 
 
 def bench_perf_engine_deep_queue(benchmark):
@@ -102,9 +115,10 @@ def bench_perf_engine_deep_queue(benchmark):
         return (generate_workload(traces, spec), make_scheduler("dysta", lut)), {}
 
     def run(requests, scheduler):
-        return simulate(requests, scheduler)
+        return simulate(requests, scheduler), scheduler
 
-    result = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
+    result, sched = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
     assert len(result.requests) == n
     assert result.num_batch_selects > 0
     assert result.max_queue_length > 32  # deep enough to exercise numpy
+    assert sched._bound.num_vectorized > 0

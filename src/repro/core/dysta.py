@@ -228,9 +228,9 @@ class DystaScheduler(Scheduler):
         return queue[0]
 
     def inc_guard(self):
-        # Switch-aware scores depend on which request is resident; the base
-        # policy never tracks one, so the guard is constantly None.
-        return self._resident
+        # Switch-aware scores depend on which request is resident, but only
+        # through a nonzero switch cost; the base policy charges none.
+        return self._resident if self.switch_cost else None
 
     def inc_best(self, queue: "ReadyQueue", idxs, now: float):
         """List kernel: :meth:`dynamic_score` term for term over the list

@@ -157,13 +157,15 @@ class Scheduler(abc.ABC):
     def np_scores(self, queue: "ReadyQueue", now: float):
         """Numpy kernel over the whole queue: ``(score, tie_columns)``,
         where ``tie_columns`` (ending in the rid column) break ties in
-        :func:`~repro.sim.ready_queue.np_lexmin`."""
+        :func:`~repro.sim.ready_queue.np_lexmin`.  Its callers run
+        ``queue.vectorize()`` first, so the ``np_*`` columns are filled."""
         raise SchedulingError(
             f"scheduler {self.name!r} does not implement np_scores"
         )
 
     def inc_full_scan(self, queue: "ReadyQueue", now: float, cache) -> Request:
         """Full numpy scan that also resets ``cache``'s runner-up bound."""
+        queue.vectorize()
         score, ties = self.np_scores(queue, now)
         chosen = queue._requests[np_lexmin(score, *ties)]
         cache.rebuild(score, now)
@@ -194,6 +196,7 @@ class Scheduler(abc.ABC):
         if cache is not None and n >= self.inc_min_queue:
             return cache.lookup(now)
         if n >= self.numpy_min_queue:
+            queue.vectorize()
             score, ties = self.np_scores(queue, now)
             return queue._requests[np_lexmin(score, *ties)]
         return queue._requests[self.inc_best(queue, range(n), now)[0]]

@@ -127,6 +127,7 @@ class PREMAScheduler(Scheduler):
         n = queue._n
         thr = self.threshold
         if n >= self.numpy_min_queue:
+            queue.vectorize()
             tok = queue.aux_np_writable(_AUX_TOKENS)
             lu = queue.aux_np_writable(_AUX_LAST_UPDATE)
             iso = np.maximum(queue.np_est_isolated[:n], 1e-12)
@@ -144,8 +145,6 @@ class PREMAScheduler(Scheduler):
 
         tok_l = queue.aux_list(_AUX_TOKENS)
         lu_l = queue.aux_list(_AUX_LAST_UPDATE)
-        tok_np = queue.aux_np(_AUX_TOKENS)
-        lu_np = queue.aux_np(_AUX_LAST_UPDATE)
         iso_l = queue.ls_est_isolated
         pr_l = queue.ls_priority
         rem_l = queue.ls_est_remaining
@@ -164,9 +163,7 @@ class PREMAScheduler(Scheduler):
                     iso = 1e-12
                 tokens = tok_l[i] + (sp * pr_l[i] * elapsed / iso)
                 tok_l[i] = tokens
-                tok_np[i] = tokens
                 lu_l[i] = now
-                lu_np[i] = now
             else:
                 tokens = tok_l[i]
             rem = rem_l[i]
@@ -182,4 +179,8 @@ class PREMAScheduler(Scheduler):
                 )
             ):
                 best_c, bc_rem, bc_arr, bc_rid = i, rem, arr, rid
+        if queue._vectorized:
+            # The loop wrote the lists only: refresh the numpy twins.
+            queue.aux_np(_AUX_TOKENS)[:n] = tok_l[:n]
+            queue.aux_np(_AUX_LAST_UPDATE)[:n] = lu_l[:n]
         return queue._requests[best_c if best_c >= 0 else best_a]

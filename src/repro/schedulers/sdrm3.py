@@ -72,6 +72,7 @@ class SDRM3Scheduler(Scheduler):
         n = queue._n
         alpha = self.alpha
         if n >= self.numpy_min_queue:
+            queue.vectorize()
             window = queue.np_deadline[:n] - now
             safe_w = np.where(window > 0, window, 1.0)
             urgency = np.where(

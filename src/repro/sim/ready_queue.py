@@ -5,8 +5,8 @@ every scheduler re-derive per-request scalars (deadline, LUT-average
 remaining time, waiting clock, ...) through Python properties and dict
 lookups at every layer boundary — O(queue) interpreter round trips per
 decision.  :class:`ReadyQueue` instead keeps the scheduler-visible scalar
-state in parallel **numpy arrays** (plus plain-list mirrors for the small-
-queue fast path), maintained incrementally:
+state in parallel **columns** (plain lists, with numpy twins for the
+deep-queue kernels), maintained incrementally:
 
 * **O(1) swap-remove** — removing a request moves the tail entry into its
   slot in every column; order is not preserved (no built-in policy is
@@ -31,10 +31,14 @@ The queue also implements the ``Sequence`` protocol over the live
 :class:`~repro.sim.request.Request` objects, so a policy's scalar
 ``select(queue, now)`` works on it unmodified.
 
-Numpy arrays are the single source of truth; list mirrors exist because at
-small queue depths (the common case at moderate load) a tight Python loop
-over list elements beats numpy's per-ufunc dispatch overhead.  Vectorized
-writers mark a column dirty and the mirror is rebuilt lazily.
+The plain-list mirrors are the store: at small queue depths (the common
+case at moderate load) a tight Python loop over list elements beats numpy's
+per-ufunc dispatch overhead, and a list cell write costs a fraction of a
+numpy one.  The numpy twins are filled on first read: every numpy reader
+calls :meth:`~ReadyQueue.vectorize`, which copies the lists into the arrays
+once, and from then on point writes go to both stores until the live queue
+empties.  Vectorized writers (:meth:`~ReadyQueue.aux_np_writable`) mark an
+aux column dirty, and its mirror is rebuilt lazily.
 """
 
 from __future__ import annotations
@@ -65,10 +69,12 @@ _INITIAL_CAPACITY = 64
 
 
 class _AuxColumn:
-    """One scheduler-owned aux column: numpy array + list mirror.
+    """One scheduler-owned aux column: list mirror + numpy twin.
 
     A single holder object keeps the hot point-write path to one dict lookup;
     ``arr`` is rebound on capacity growth, ``ls`` is mutated in place only.
+    ``dirty`` (a vector write left ``ls`` stale) implies the queue is
+    vectorized.
     """
 
     __slots__ = ("arr", "ls", "default", "dirty")
@@ -116,11 +122,18 @@ class ReadyQueue(Sequence):
         #: cache pay nothing.
         self._journal: Optional[set] = None
         self._journal_all = True
+        #: True while the numpy twins match the list mirrors (see
+        #: :meth:`vectorize`); point writes skip numpy otherwise.
+        self._vectorized = False
+        #: Copies :meth:`vectorize` made (list-only runs stay at 0).
+        self.num_vectorized = 0
 
         self.np_rid = np.empty(self._cap, dtype=np.int64)
         self.ls_rid: List[int] = []
         self._need_entry = "est_isolated" in self._cols or "est_remaining" in self._cols
-        self._ls_missing: List[bool] = []
+        #: Per row (live and parked): the LUT entry's remaining-suffix
+        #: tuple, or None when the LUT lacks the request's key.
+        self._ls_suffix: List[Optional[Tuple[float, ...]]] = []
         for col in KNOWN_COLUMNS:
             active = col in self._cols
             setattr(self, f"np_{col}", np.empty(self._cap) if active else None)
@@ -214,10 +227,12 @@ class ReadyQueue(Sequence):
     def aux_np(self, name: str) -> np.ndarray:
         """Full-capacity aux array (slice with ``[:len(queue)]``); read-only
         by convention — use :meth:`aux_np_writable` before vector writes."""
+        self.vectorize()
         return self._aux[name].arr
 
     def aux_np_writable(self, name: str) -> np.ndarray:
         """Aux array for vectorized in-place writes; marks the mirror stale."""
+        self.vectorize()
         col = self._aux[name]
         col.dirty = True
         # A vector write may touch every row: invalidate the whole journal.
@@ -239,11 +254,12 @@ class ReadyQueue(Sequence):
         return col.ls
 
     def aux_set(self, name: str, i: int, value: float) -> None:
-        """Point write to one aux cell (keeps both stores coherent)."""
+        """Point write to one aux cell (keeps both stores coherent; a stale
+        mirror's cell is overwritten again when the mirror is rebuilt)."""
         col = self._aux[name]
-        col.arr[i] = value
-        if not col.dirty:
-            col.ls[i] = value
+        col.ls[i] = value
+        if self._vectorized:
+            col.arr[i] = value
         if self._journal is not None:
             self._journal.add(self.ls_rid[i])
 
@@ -254,11 +270,28 @@ class ReadyQueue(Sequence):
         if i is None or self._requests[i] is not request:
             return
         col = self._aux[name]
-        col.arr[i] = value
-        if not col.dirty:
-            col.ls[i] = value
+        col.ls[i] = value
+        if self._vectorized:
+            col.arr[i] = value
         if self._journal is not None:
             self._journal.add(request.rid)
+
+    def vectorize(self) -> None:
+        """Fill the numpy twins (active and aux columns, live and parked
+        rows) from the list mirrors; a no-op while already vectorized.
+
+        Every numpy reader calls this first.  From then on point writes go
+        to both stores, until the live queue empties (see :meth:`remove`).
+        """
+        if self._vectorized:
+            return
+        end = len(self.ls_rid)
+        for arr, ls in zip(self._np_cols, self._ls_cols):
+            arr[:end] = ls
+        for col in self._aux.values():
+            col.arr[:end] = col.ls
+        self._vectorized = True
+        self.num_vectorized += 1
 
     def forget(self, rid: int) -> None:
         """Drop the parked row of ``rid``, if any.
@@ -279,7 +312,7 @@ class ReadyQueue(Sequence):
         for col in self._aux.values():
             col.ls.pop()
         if self._need_entry:
-            self._ls_missing.pop()
+            self._ls_suffix.pop()
 
     # -- mutation -----------------------------------------------------------
 
@@ -301,23 +334,29 @@ class ReadyQueue(Sequence):
 
     def _swap(self, a: int, b: int) -> None:
         """Exchange slots ``a`` and ``b`` in every column; the caller fixes
-        the rid maps.  Numpy cells are written from their list mirrors,
-        which hold the same values, except in a stale aux mirror."""
-        for arr, ls in zip(self._np_cols, self._ls_cols):
+        the rid maps.  While vectorized, numpy cells are written from their
+        list mirrors, which hold the same values, except in a stale aux
+        mirror."""
+        for ls in self._ls_cols:
             ls[a], ls[b] = ls[b], ls[a]
-            arr[a] = ls[a]
-            arr[b] = ls[b]
-        for col in self._aux.values():
-            arr, ls = col.arr, col.ls
+        aux = self._aux.values()
+        for col in aux:
+            ls = col.ls
             ls[a], ls[b] = ls[b], ls[a]
-            if col.dirty:
-                arr[a], arr[b] = arr[b], arr[a]
-            else:
+        if self._need_entry:
+            m = self._ls_suffix
+            m[a], m[b] = m[b], m[a]
+        if self._vectorized:
+            for arr, ls in zip(self._np_cols, self._ls_cols):
                 arr[a] = ls[a]
                 arr[b] = ls[b]
-        if self._need_entry:
-            m = self._ls_missing
-            m[a], m[b] = m[b], m[a]
+            for col in aux:
+                arr = col.arr
+                if col.dirty:
+                    arr[a], arr[b] = arr[b], arr[a]
+                else:
+                    arr[a] = col.ls[a]
+                    arr[b] = col.ls[b]
 
     def add(self, request: Request) -> int:
         """Admit ``request``; returns its slot, always ``len(queue) - 1``.
@@ -341,7 +380,7 @@ class ReadyQueue(Sequence):
                 self._requests.append(request)
                 self._pos[rid] = n
                 self._n = n + 1
-                if self._need_entry and self._ls_missing[n]:
+                if self._need_entry and self._ls_suffix[n] is None:
                     self._missing += 1
                 self.update_progress(request)
                 return n
@@ -353,7 +392,6 @@ class ReadyQueue(Sequence):
         self._requests.append(request)
         self._pos[rid] = n
         self._n = n + 1
-        self.np_rid[i] = rid
         self.ls_rid.append(rid)
         if self._journal is not None:
             self._journal.add(rid)
@@ -361,53 +399,43 @@ class ReadyQueue(Sequence):
         cols = self._cols
         if cols:
             if "arrival" in cols:
-                v = request.arrival
-                self.np_arrival[i] = v
-                self.ls_arrival.append(v)
+                self.ls_arrival.append(request.arrival)
             if "deadline" in cols:
-                v = request.deadline
-                self.np_deadline[i] = v
-                self.ls_deadline.append(v)
+                self.ls_deadline.append(request.deadline)
             if "priority" in cols:
-                v = request.priority
-                self.np_priority[i] = v
-                self.ls_priority.append(v)
+                self.ls_priority.append(request.priority)
             if "true_isolated" in cols:
-                v = request.isolated_latency
-                self.np_true_isolated[i] = v
-                self.ls_true_isolated.append(v)
+                self.ls_true_isolated.append(request.isolated_latency)
             if "true_remaining" in cols:
-                v = request.true_remaining
-                self.np_true_remaining[i] = v
-                self.ls_true_remaining.append(v)
+                self.ls_true_remaining.append(request.true_remaining)
             if "last_run_end" in cols:
-                v = request.last_run_end
-                self.np_last_run_end[i] = v
-                self.ls_last_run_end.append(v)
+                self.ls_last_run_end.append(request.last_run_end)
             if "executed_time" in cols:
-                v = request.executed_time
-                self.np_executed_time[i] = v
-                self.ls_executed_time.append(v)
+                self.ls_executed_time.append(request.executed_time)
             if self._need_entry:
                 entry = request.lut_entry(self._lut) if self._lut is not None else None
-                missing = entry is None
-                self._ls_missing.append(missing)
-                if missing:
+                if entry is None:
+                    suffix = None
                     self._missing += 1
+                else:
+                    suffix = entry.remaining_suffix_t
+                self._ls_suffix.append(suffix)
                 if "est_isolated" in cols:
-                    v = np.nan if missing else entry.avg_total_latency
-                    self.np_est_isolated[i] = v
-                    self.ls_est_isolated.append(v)
+                    self.ls_est_isolated.append(
+                        np.nan if entry is None else entry.avg_total_latency)
                 if "est_remaining" in cols:
-                    v = np.nan if missing else entry.remaining_suffix_t[request.next_layer]
-                    self.np_est_remaining[i] = v
-                    self.ls_est_remaining.append(v)
+                    self.ls_est_remaining.append(
+                        np.nan if suffix is None else suffix[request.next_layer])
 
-        for col in self._aux.values():
-            v = col.default
-            col.arr[i] = v
+        aux = self._aux.values()
+        for col in aux:
             # A stale mirror still tracks length; contents rebuilt on sync.
-            col.ls.append(v)
+            col.ls.append(col.default)
+        if self._vectorized:
+            for arr, ls in zip(self._np_cols, self._ls_cols):
+                arr[i] = ls[i]
+            for col in aux:
+                col.arr[i] = col.default
         if i != n:
             self._swap(i, n)
             parked[self.ls_rid[i]] = i
@@ -421,7 +449,9 @@ class ReadyQueue(Sequence):
         """Take ``request`` out of the live rows in O(1).
 
         The last live row takes its slot, as in a swap-remove, and the
-        request's row moves just past the live rows (it is *parked*).
+        request's row moves just past the live rows (it is *parked*).  When
+        the live rows run out, the queue leaves vectorized mode: the lists
+        alone carry it again until the next :meth:`vectorize`.
 
         Args:
             requeue: The request is only leaving to run a layer block and
@@ -450,9 +480,13 @@ class ReadyQueue(Sequence):
             self._swap(i, last)
         reqs.pop()
         self._n = last
-        if self._need_entry and self._ls_missing[last]:
+        if self._need_entry and self._ls_suffix[last] is None:
             self._missing -= 1
         self._parked[rid] = last
+        if not last and self._vectorized:
+            for name in self._aux:
+                self.aux_list(name)  # rebuilds a mirror a vector write left stale
+            self._vectorized = False
         if not requeue:
             self.forget(rid)
 
@@ -461,8 +495,9 @@ class ReadyQueue(Sequence):
         i = self._pos.get(request.rid)
         if i is not None:
             v = request.last_run_end
-            self.np_last_run_end[i] = v
             self.ls_last_run_end[i] = v
+            if self._vectorized:
+                self.np_last_run_end[i] = v
             if self._journal is not None:
                 self._journal.add(request.rid)
 
@@ -481,18 +516,23 @@ class ReadyQueue(Sequence):
             self._journal.add(request.rid)
         if self._up_lre:
             v = request.last_run_end
-            self.np_last_run_end[i] = v
             self.ls_last_run_end[i] = v
+            if self._vectorized:
+                self.np_last_run_end[i] = v
         if self._up_exec:
             v = request.executed_time
-            self.np_executed_time[i] = v
             self.ls_executed_time[i] = v
+            if self._vectorized:
+                self.np_executed_time[i] = v
         if self._up_true_rem:
             v = request.true_remaining
-            self.np_true_remaining[i] = v
             self.ls_true_remaining[i] = v
-        if self._up_est_rem and not self._ls_missing[i]:
-            entry = request.lut_entry(self._lut)
-            v = entry.remaining_suffix_t[request.next_layer]
-            self.np_est_remaining[i] = v
-            self.ls_est_remaining[i] = v
+            if self._vectorized:
+                self.np_true_remaining[i] = v
+        if self._up_est_rem:
+            suffix = self._ls_suffix[i]
+            if suffix is not None:
+                v = suffix[request.next_layer]
+                self.ls_est_remaining[i] = v
+                if self._vectorized:
+                    self.np_est_remaining[i] = v

@@ -17,6 +17,8 @@ small-queue tight loop *and* the large-queue numpy path (forced via
 multi-accelerator engine, and the cluster tier.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
@@ -39,6 +41,7 @@ from repro.profiling.profiler import benchmark_suite
 from repro.schedulers.base import Scheduler, available_schedulers, make_scheduler
 from repro.sim.engine import simulate, simulate_reference
 from repro.sim.multi import simulate_multi
+from repro.sim.ready_queue import ReadyQueue
 from repro.sim.workload import WorkloadSpec, generate_workload
 
 from conftest import ReferencePool, make_request
@@ -161,6 +164,72 @@ class TestMultiEngineEquivalence:
         batch = simulate_multi(toy_workload(toy_traces),
                                scheduler_for("dysta", toy_lut), **kw)
         assert_identical(scalar, batch)
+
+
+def two_bursts(toy_traces, n=80, rate=2000.0):
+    """Two overloaded bursts, the second 10 s after the first's last
+    arrival: the queue goes deep, drains to empty, and goes deep again."""
+    first = toy_workload(toy_traces, n=n, rate=rate, seed=1)
+    spec = WorkloadSpec(rate, n_requests=n, slo_multiplier=5.0, seed=2,
+                        start_time=first[-1].arrival + 10.0)
+    return first + [dataclasses.replace(r, rid=r.rid + n)
+                    for r in generate_workload(toy_traces, spec)]
+
+
+class TestLazyVectorization:
+    """The ready queue fills its numpy columns only when a numpy kernel
+    reads them (``ReadyQueue.vectorize``), and leaves that mode when the
+    live queue empties; the schedule must not notice either."""
+
+    @staticmethod
+    def runs(toy_lut, name, workload):
+        """``(reference, result, scheduler)`` on ``simulate`` and on a
+        two-NPU pool."""
+        for engine, reference in ((simulate, simulate_reference),
+                                  (simulate_multi, reference_multi)):
+            sched = scheduler_for(name, toy_lut)
+            result = engine(workload(), sched)
+            yield reference(workload(), scheduler_for(name, toy_lut)), result, sched
+
+    @pytest.mark.parametrize("name", CONVERTED)
+    def test_shallow_run_makes_no_copy(self, toy_traces, toy_lut, name):
+        def workload():
+            return toy_workload(toy_traces, n=60, rate=60.0)
+
+        for ref, result, sched in self.runs(toy_lut, name, workload):
+            assert_identical(ref, result)
+            assert result.num_batch_selects > 0
+            assert result.max_queue_length < sched.numpy_min_queue
+            assert sched._bound.num_vectorized == 0
+
+    @pytest.mark.parametrize("name", CONVERTED)
+    def test_deep_drain_deep_copies_twice(self, toy_traces, toy_lut, name):
+        def workload():
+            return two_bursts(toy_traces)
+
+        for ref, result, sched in self.runs(toy_lut, name, workload):
+            assert_identical(ref, result)
+            assert result.max_queue_length >= sched.numpy_min_queue
+            assert sched._bound.num_vectorized >= 2
+
+    def test_prema_list_kernel_keeps_numpy_twins(self, toy_lut):
+        # A vectorized queue that falls below the numpy gate runs prema's
+        # list kernel, whose token writes must reach the numpy twins the
+        # next numpy decision reads.
+        sched = make_scheduler("prema", toy_lut)
+        queue = ReadyQueue(toy_lut, columns=sched.batch_columns)
+        sched.bind_queue(queue)
+        requests = [make_request(rid=i) for i in range(40)]
+        for request in requests:
+            queue.add(request)
+            sched.on_arrival(request, 0.0)
+        sched.select_batch(queue, 0.001)  # numpy branch
+        for request in requests[10:]:
+            queue.remove(request)
+        sched.select_batch(queue, 0.002)  # list kernel, still vectorized
+        assert queue.num_vectorized == 1
+        for name in ("prema_tokens", "prema_last_update"):
+            assert list(queue.aux_np(name)[:10]) == queue.aux_list(name)[:10]
 
 
 def schedule(result):

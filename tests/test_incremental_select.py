@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core.lut import ModelInfoLUT
 from repro.schedulers.base import Scheduler, make_scheduler
+from repro.sim.engine import simulate
 from repro.sim.ready_queue import ReadyQueue
 from repro.sim.workload import WorkloadSpec, generate_workload
 
@@ -346,6 +347,23 @@ class TestChangedRows:
         assert [lane.sched.select_batch(lane.queue, now).rid
                 for lane in lanes] == [1, 1]
         assert (cache.num_scans, cache.num_hits) == (3, 1)
+
+    def test_zero_switch_cost_keeps_dysta_scans(self, toy_traces, toy_lut):
+        # At switch cost 0 no score depends on the resident, so a new
+        # resident must not force a scan: dysta_switchaware then makes
+        # dysta's decisions with dysta's scans.
+        def run(name):
+            sched = make_scheduler(name, toy_lut)
+            sched.inc_min_queue = 0
+            spec = WorkloadSpec(150.0, n_requests=120, slo_multiplier=5.0)
+            result = simulate(generate_workload(toy_traces, spec), sched)
+            return [(r.rid, r.finish_time) for r in result.requests], sched._cache
+
+        plain, plain_cache = run("dysta")
+        aware, aware_cache = run("dysta_switchaware")
+        assert aware == plain
+        assert aware_cache.num_scans == plain_cache.num_scans
+        assert aware_cache.num_hits == plain_cache.num_hits > 0
 
 
 #: Random op sequences for :class:`TestRandomOps`, on a millisecond grid so

@@ -37,6 +37,7 @@ class TestBasics:
         q = rq(toy_lut)
         r = make_request(rid=7, arrival=2.0, slo=3.0)
         i = q.add(r)
+        q.vectorize()
         assert q.np_rid[i] == 7 and q.ls_rid[i] == 7
         assert q.np_arrival[i] == 2.0
         assert q.np_deadline[i] == r.deadline
@@ -56,6 +57,7 @@ class TestSwapRemove:
         for r in reqs:
             q.add(r)
         q.remove(reqs[1])
+        q.vectorize()
         assert len(q) == 3
         assert reqs[1] not in q
         # The tail (rid 3) took slot 1 in every column.
@@ -80,6 +82,7 @@ class TestSwapRemove:
         reqs = [make_request(rid=i, arrival=float(i)) for i in range(20)]
         for r in reqs:
             q.add(r)
+        q.vectorize()
         assert len(q) == 20
         for r in reqs:
             i = q.index_of(r)
@@ -96,6 +99,7 @@ class TestIncrementalUpdate:
         r.executed_time = 0.001
         r.last_run_end = 0.5
         q.update_progress(r)
+        q.vectorize()
         entry = r.lut_entry(toy_lut)
         assert q.np_est_remaining[i] == entry.remaining_suffix_t[1]
         assert q.np_true_remaining[i] == r.true_remaining
@@ -228,9 +232,25 @@ class _RowModel:
 
 
 class TestParkedRows:
-    """Differential check: parked rows against :class:`_RowModel`."""
+    """Differential check: parked rows against :class:`_RowModel`, with the
+    list mirrors checked after every op and the numpy twins at random steps."""
 
-    def check(self, q, model, everyone):
+    _COLS = ("rid",) + KNOWN_COLUMNS
+
+    @staticmethod
+    def _slots(q, model):
+        """``(slot, model row)`` for every live and parked row."""
+        pairs = list(enumerate(model.rows))
+        assert q._parked.keys() == model.saved.keys()
+        pairs += [(j, model.saved[rid]) for rid, j in q._parked.items()]
+        return pairs
+
+    @staticmethod
+    def _same(got, want, name):
+        np.testing.assert_array_equal(np.array(got, dtype=float),
+                                      np.array(want, dtype=float), err_msg=name)
+
+    def check_lists(self, q, model, everyone):
         n = len(model.rows)
         live = [row["req"] for row in model.rows]
         assert len(q) == n
@@ -241,21 +261,29 @@ class TestParkedRows:
             assert (req in q) == (i >= 0)
             assert q.index_of(req) == i
         assert q.missing_entries == sum(row["missing"] for row in model.rows)
-        for col in ("rid",) + KNOWN_COLUMNS:
-            want = np.array([row[col] for row in model.rows], dtype=float)
-            np.testing.assert_array_equal(getattr(q, f"np_{col}")[:n], want, err_msg=col)
-            np.testing.assert_array_equal(
-                np.array(getattr(q, f"ls_{col}")[:n], dtype=float), want, err_msg=col)
+        pairs = self._slots(q, model)
+        slots = [j for j, _ in pairs]
+        for col in self._COLS:
+            ls = getattr(q, f"ls_{col}")
+            self._same([ls[j] for j in slots], [row[col] for _, row in pairs], col)
         for name in model.aux:
-            want = np.array([row["aux"][name] for row in model.rows], dtype=float)
-            np.testing.assert_array_equal(q.aux_np(name)[:n], want, err_msg=name)
             col = q._aux[name]
-            if not col.dirty:  # a stale mirror is only read after aux_list()
-                np.testing.assert_array_equal(np.array(col.ls[:n], dtype=float), want,
-                                              err_msg=name)
+            # A stale mirror (only while vectorized) is read after aux_list().
+            assert q._vectorized or not col.dirty
+            got = col.arr[slots] if col.dirty else [col.ls[j] for j in slots]
+            self._same(got, [row["aux"][name] for _, row in pairs], name)
         live_rids = {req.rid for req in live}
         assert not q._journal & model.saved.keys()
         assert q._journal <= live_rids
+
+    def check_numpy(self, q, model):
+        q.vectorize()
+        pairs = self._slots(q, model)
+        slots = [j for j, _ in pairs]
+        for col in self._COLS:
+            self._same(getattr(q, f"np_{col}")[slots], [row[col] for _, row in pairs], col)
+        for name in model.aux:
+            self._same(q.aux_np(name)[slots], [row["aux"][name] for _, row in pairs], name)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_ops_match_swap_remove_model(self, toy_lut, seed):
@@ -269,12 +297,21 @@ class TestParkedRows:
         now = 0.0
         grew_while_parked = False
         peak_missing = 0
+        list_steps = vector_steps = stale_drains = 0
+
+        def vector_write():
+            # PREMA-style token accumulation over the live rows.
+            arr = q.aux_np_writable("tokens")
+            arr[: len(q)] += 0.5 * q.np_priority[: len(q)]
+            for row in model.rows:
+                row["aux"]["tokens"] += 0.5 * row["priority"]
+
         ops = ("arrive", "dispatch", "readmit", "forget", "remove",
-               "vector", "point", "sync", "progress", "clear")
+               "vector", "point", "sync", "progress", "clear", "drain")
         # Arrivals dominate early so the queue outgrows 64 rows while
         # dispatched rows are parked; later the queue drains.
-        early = np.array([8, 4, 3, 1, 1, 1, 2, 1, 1, 1], dtype=float)
-        late = np.array([1, 4, 3, 1, 3, 1, 2, 1, 1, 1], dtype=float)
+        early = np.array([8, 4, 3, 1, 1, 1, 2, 1, 1, 1, 0], dtype=float)
+        late = np.array([1, 4, 3, 1, 3, 1, 2, 1, 1, 1, 0.5], dtype=float)
         for step in range(900):
             now += 0.001
             p = early if step < 400 else late
@@ -324,11 +361,22 @@ class TestParkedRows:
                 q.remove(req)
                 model.remove(req)
             elif op == "vector":
-                # PREMA-style token accumulation over the live rows.
-                arr = q.aux_np_writable("tokens")
-                arr[: len(q)] += 0.5 * q.np_priority[: len(q)]
-                for row in model.rows:
-                    row["aux"]["tokens"] += 0.5 * row["priority"]
+                vector_write()
+            elif op == "drain" and len(q):
+                # Empty the live rows right after a vector write: leaving
+                # vectorized mode must rebuild the stale tokens mirror,
+                # parked rows included.
+                vector_write()
+                while len(q):
+                    req = q[int(rng.integers(len(q)))]
+                    requeue = bool(rng.integers(2))
+                    if len(q) == 1:
+                        stale_drains += q._aux["tokens"].dirty
+                    q.remove(req, requeue=requeue)
+                    model.remove(req, requeue=requeue)
+                    if requeue:
+                        running.append(req)
+                assert not q._vectorized
             elif op == "point" and everyone:
                 req = everyone[int(rng.integers(len(everyone)))]
                 name = ("kid", "late")[int(rng.integers(2))] if "late" in model.aux else "kid"
@@ -353,10 +401,19 @@ class TestParkedRows:
                 q.update_progress(req)
             elif op == "clear":
                 q.journal_clear()
-            self.check(q, model, everyone)
+            if q._vectorized:
+                vector_steps += 1
+            else:
+                list_steps += 1
+            self.check_lists(q, model, everyone)
+            if rng.random() < 0.05:
+                self.check_numpy(q, model)
             peak_missing = max(peak_missing, q.missing_entries)
         assert grew_while_parked and "late" in model.aux
         assert peak_missing > 0
+        assert list_steps > 50 and vector_steps > 50
+        assert stale_drains > 0 and q.num_vectorized >= 2
+        self.check_numpy(q, model)
 
 
 class TestMissingEntries:
