@@ -367,13 +367,21 @@ def simulate_cluster(
     counter = itertools.count()
     stream = _request_stream(requests)
     now = 0.0
+    # ``earliest_reaching(next_req.arrival, _EPS)``: the horizon's arrival
+    # term, formed once per request (``inf`` once the stream is spent).
+    arrival_bound = _INF
 
     def fetch() -> Optional[Request]:
+        nonlocal arrival_bound
         req = next(stream, None)
-        if req is not None and (req.next_layer != 0 or req.finish_time is not None):
+        if req is None:
+            arrival_bound = _INF
+        elif req.next_layer != 0 or req.finish_time is not None:
             raise SchedulingError(
                 f"request {req.rid} was already (partially) executed"
             )
+        else:
+            arrival_bound = earliest_reaching(req.arrival, _EPS)
         return req
 
     next_req = fetch()
@@ -407,14 +415,13 @@ def simulate_cluster(
         would pop next and change nothing else: ``t < heap top`` (an event
         already queued at ``t`` pops first), no arrival is due
         (``arrival > t + _EPS``, in_place's test) and ``Telemetry.poll(t)``
-        samples nothing.
+        samples nothing.  The last two bounds are formed when the next
+        arrival or grid point moves, not per read.
         """
         h = events[0][0] if events else _INF
-        if next_req is not None:
-            h = min(h, earliest_reaching(next_req.arrival, _EPS))
         if telem is not None:
-            h = min(h, telem.next_poll_time)
-        return h
+            return min(h, arrival_bound, telem.next_poll_time)
+        return min(h, arrival_bound)
 
     # Run-level phase accumulators (flushed into the profiler once at the
     # end of the run: per-event ``PhaseProfiler.add`` calls would cost more
@@ -590,18 +597,19 @@ def simulate_cluster(
                                        t_entry=t_seg if prof is not None else None,
                                        push_event=push_event if in_place else None,
                                        horizon=horizon)
+            if prof is not None:
+                # The pool's closing read opens the next segment.
+                t_seg = pool._t_exit
             if done:
                 if track_work:
                     # The pool reports unfinished blocks itself (it folds
                     # some in place); completions are reported here.
-                    if prof is not None:
-                        t_rt = perf_counter()
                     router.note_complete(pool, req)
                     if prof is not None:
-                        p_route_s += perf_counter() - t_rt
+                        t_rt = perf_counter()
+                        p_route_s += t_rt - t_seg
                         p_route_c += 1
-                if prof is not None:
-                    t_met = perf_counter()
+                        t_seg = t_rt
                 # Per-request joules fold into the streaming aggregates only
                 # on the bounded-memory path; with retained requests the
                 # batch summary computes them once at the end instead.
@@ -619,14 +627,16 @@ def simulate_cluster(
                 if retain_requests:
                     completed.append(req)
                 if prof is not None:
-                    p_metrics_s += perf_counter() - t_met
+                    t_met = perf_counter()
+                    p_metrics_s += t_met - t_seg
                     p_metrics_c += 1
+                    t_seg = t_met
             if in_place and npu in pool.running:
                 # The pool decided ``npu`` itself: no arrival is due, every
                 # other pool is settled and the wake is armed, so the tail
                 # is a no-op.
                 if prof is not None:
-                    t_heap = perf_counter()
+                    t_heap = t_seg
                 continue
         if skip_admit:
             # No-op fault boundary: leave queues, admission and wake state

@@ -237,6 +237,9 @@ class Pool:
         self._p_execute_s = self._p_queue_s = 0.0
         self._p_select_c = self._p_dispatch_c = self._p_heap_c = 0
         self._p_execute_c = self._p_queue_c = 0
+        #: The last clock read of complete_block or dispatch, which the
+        #: engine's next bracket opens with.
+        self._t_exit = 0.0
 
     def bind_router(self, router) -> None:
         """Attach the cluster run's router.  A work-tracking router hears of
@@ -547,16 +550,19 @@ class Pool:
             npu = heapq.heappop(self.idle)
             nq = len(queue)
             chosen, batched = self._choose(now, nq)
+            # Park the winner's row while it runs.
+            queue.remove(chosen, requeue=True)
             self._start_block(now, npu, chosen, nq, batched, push_event)
         if prof is not None:
-            self._p_dispatch_s += ((perf_counter() - t_in)
+            t_out = self._t_exit = perf_counter()
+            self._p_dispatch_s += ((t_out - t_in)
                                    - (self._p_select_s - sel_s0)
                                    - (self._p_heap_s - heap_s0))
             self._p_dispatch_c += 1
 
     def _choose(self, now: float, nq: int) -> Tuple[Request, bool]:
-        """Decide among the ``nq`` queued requests and park the winner's row
-        while it runs.  Returns the winner and whether the scheduler's
+        """Decide among the ``nq`` queued requests; the winner's row stays
+        live.  Returns the winner and whether the scheduler's
         ``select_single`` / ``select_batch`` decided."""
         queue = self.queue
         scheduler = self.scheduler
@@ -576,7 +582,6 @@ class Pool:
         if self._prof is not None:
             self._p_select_s += perf_counter() - t1
             self._p_select_c += 1
-        queue.remove(chosen, requeue=True)
         return chosen, batched
 
     def _start_block(self, now: float, npu: int, chosen: Request, nq: int,
@@ -584,11 +589,11 @@ class Pool:
                      ) -> Optional[Tuple[float, int, float]]:
         """Start half of the block lifecycle: run ``chosen`` on ``npu``.
 
-        ``chosen`` was decided at queue depth ``nq`` and is already outside
-        the ready queue.  Counts the decision, books preemption and weight
-        switches, charges the block's time, emits the select and execute
-        spans and pushes the block-completion event.  Shared by
-        :meth:`dispatch` and the in-place decisions of
+        ``chosen`` was decided at queue depth ``nq``; nothing reads its
+        ready-queue row until the block ends.  Counts the decision, books
+        preemption and weight switches, charges the block's time, emits the
+        select and execute spans and pushes the block-completion event.
+        Shared by :meth:`dispatch` and the in-place decisions of
         :meth:`complete_block`, which pass no ``push_event`` and get the
         block's ``(end, layers, dt)`` back, to fold in place or push.
         """
@@ -675,7 +680,9 @@ class Pool:
         Returns True when the request finished all its layers (the caller
         owns completion accounting), else False.  ``t_entry`` lets a
         profiling caller hand over its last clock read so the call
-        transition is attributed instead of falling between brackets.
+        transition is attributed instead of falling between brackets; the
+        pool leaves its own last read in ``_t_exit`` for the caller's next
+        bracket to open with.
 
         A caller passes ``push_event`` only at a *settled* boundary: no
         arrival is due at ``now``, no other pool is left undispatched and
@@ -688,11 +695,11 @@ class Pool:
           ``note_progress`` run, and ``npu`` is decided through the steps
           :meth:`dispatch` uses: select, ``remove(requeue=True)``,
           :meth:`_start_block`.  A lone request under a drain-safe
-          scheduler needs no round trip: it continues on ``npu`` without
-          the ready queue, the overwrite-only ``on_layer_complete`` (which
-          writes nothing while its row is parked;
-          :meth:`fail_accelerators` repairs the parked row this leaves
-          stale) and, for ``trivial_single`` policies, ``select_single``.
+          scheduler needs no round trip: :meth:`_continue_lone` runs its
+          forced blocks without the ready queue and the overwrite-only
+          ``on_layer_complete`` (which writes nothing while its row is
+          parked; :meth:`fail_accelerators` repairs the parked row this
+          leaves stale).
         * A finished request frees ``npu``; with requests queued, the pool
           dispatches it at once.  This boundary folds nothing further: the
           caller's completion accounting must come before later blocks'
@@ -710,12 +717,18 @@ class Pool:
         ``npu`` draining and no other accelerator frees up.  Every block
         keeps its own fold, decision, router ``note_progress``, counts,
         charges and spans, in the order the heap would have produced them.
+        Nothing reads the ready queue between a decision and the next
+        boundary either, so a winner that is the request that just ran
+        keeps its row live and has it refreshed at the next boundary; the
+        row is parked only when the stretch pushes its block, which leaves
+        the live rows as a park and re-admit would.
         """
         prof = self._prof
         if prof is not None:
             t_ex = t_entry if t_entry is not None else perf_counter()
         queue = self.queue
         until = None
+        live = False  # whether ``request``'s row is live (a re-winner's)
         while True:
             # Fold half of the block lifecycle: the block of ``layers``
             # that ``request`` ran on ``npu`` ended at ``now``.
@@ -742,39 +755,45 @@ class Pool:
                     sel_s0, heap_s0 = self._p_select_s, self._p_heap_s
                 until = horizon()
             if self._can_continue and not queue._n:
-                if not self.scheduler.trivial_single:
-                    # Per-select state (the current or resident request)
-                    # must follow the forced decision as a dispatch would.
-                    self.scheduler.select_single((request,), now)
-                self.continued_blocks += 1
-                chosen, nq, batched = request, 1, True
+                # The queue stays empty up to the horizon, so every
+                # decision of the stretch is forced.
+                chosen = request
+                end, layers, dt = self._continue_lone(now, npu, request, until)
             else:
-                # Re-admit before the monitor callback so converted
-                # schedulers can refresh the request's row.
-                queue.append(request)
+                if live:
+                    queue.update_progress(request)
+                else:
+                    # Re-admit before the monitor callback so converted
+                    # schedulers can refresh the request's row.
+                    queue.append(request)
                 self.scheduler.on_layer_complete(request, now)
-                chosen = None
-            if self._note_progress is not None:
-                self._note_progress(self, request)
-            if chosen is None:
+                if self._note_progress is not None:
+                    self._note_progress(self, request)
                 nq = queue._n
                 chosen, batched = self._choose(now, nq)
-            self.in_place_blocks += 1
-            end, layers, dt = self._start_block(now, npu, chosen, nq, batched, None)
-            if end >= until or chosen.next_layer + layers >= chosen._num_layers:
-                if prof is None:
-                    push_event(end, self, npu, chosen, layers, dt)
-                    return False
-                t_push = perf_counter()
+                live = chosen is request
+                if not live:
+                    queue.remove(chosen, requeue=True)
+                self.in_place_blocks += 1
+                end, layers, dt = self._start_block(now, npu, chosen, nq,
+                                                    batched, None)
+                if end < until and chosen.next_layer + layers < chosen._num_layers:
+                    now, request = end, chosen
+                    continue
+                if live:
+                    queue.remove(chosen, requeue=True)
+            if prof is None:
                 push_event(end, self, npu, chosen, layers, dt)
-                t1 = perf_counter()
-                self._p_heap_s += t1 - t_push
-                self._p_heap_c += 1
-                self._p_dispatch_s += ((t1 - t0) - (self._p_select_s - sel_s0)
-                                       - (self._p_heap_s - heap_s0))
-                self._p_dispatch_c += 1
                 return False
-            now, request = end, chosen
+            t_push = perf_counter()
+            push_event(end, self, npu, chosen, layers, dt)
+            t1 = self._t_exit = perf_counter()
+            self._p_heap_s += t1 - t_push
+            self._p_heap_c += 1
+            self._p_dispatch_s += ((t1 - t0) - (self._p_select_s - sel_s0)
+                                   - (self._p_heap_s - heap_s0))
+            self._p_dispatch_c += 1
+            return False
         if npu in self._draining:
             # Drain-before-remove: the block finished, the request lives on
             # (requeued or complete below); only the accelerator retires.
@@ -796,14 +815,15 @@ class Pool:
             request.finish_time = now
             self.completed += 1
             self.scheduler.on_complete(request, now)
-            if prof is not None:
-                self._p_queue_s += perf_counter() - t0
-                self._p_queue_c += 1
             if self._tracer is not None:
                 self._tracer.emit(
                     KIND_VIOLATE if request.violated else KIND_COMPLETE,
                     now, pool=self.name, npu=npu, rid=request.rid,
                 )
+            if prof is not None:
+                t1 = self._t_exit = perf_counter()
+                self._p_queue_s += t1 - t0
+                self._p_queue_c += 1
             if push_event is not None and queue and self.idle:
                 # Settled, so the queue was waiting on a busy pool: the
                 # freed npu is the only idle one and the next decision.
@@ -817,9 +837,88 @@ class Pool:
         if self._note_progress is not None:
             self._note_progress(self, request)
         if prof is not None:
-            self._p_queue_s += perf_counter() - t0
+            t1 = self._t_exit = perf_counter()
+            self._p_queue_s += t1 - t0
             self._p_queue_c += 1
         return False
+
+    def _continue_lone(self, now: float, npu: int, request: Request,
+                       until: float) -> Tuple[float, int, float]:
+        """Run the forced blocks of ``request``, alone in the pool and
+        resident on ``npu``, from ``now`` on.
+
+        Each block is the decision and start :meth:`_start_block` makes for
+        a singleton queue (no preemption, switch, queue wait or stall, as
+        ``request`` last ran on ``npu``, and no new maximum depth): the
+        router's ``note_progress``, the select span at depth 1, the execute
+        span, ``busy_time`` and the invocation, batch-select, continued and
+        in-place counts.  A block that ends before ``until`` and leaves the
+        request unfinished is folded here as :meth:`complete_block` would
+        (energy, then progress); the first one that does not stays running
+        on ``npu``, and its ``(end, layers, dt)`` is returned for the
+        caller to push.  Nothing reads the floats and counts carried in
+        locals before the horizon, so they are written back once.  A
+        non-trivial ``select_single`` runs once per stretch: it is
+        idempotent on a singleton (``single_drain_safe``).
+        """
+        scheduler = self.scheduler
+        if not scheduler.trivial_single:
+            # Per-select state (the current or resident request) must
+            # follow the forced decisions as a dispatch would.
+            scheduler.select_single((request,), now)
+        energy = self._energy
+        note_progress = self._note_progress
+        tracer = self._tracer
+        block_size = self.block_size
+        lats = request.layer_latencies
+        num_layers = request._num_layers
+        speed = self._speeds.get(request.model_name, self.speed)
+        if self._slowdown != 1.0:
+            speed /= self._slowdown
+        nl = request.next_layer
+        executed = request.executed_time
+        busy = self.busy_time
+        joules = self.joules_busy
+        blocks = 0
+        while True:
+            blocks += 1
+            if note_progress is not None:
+                note_progress(self, request)
+            layers = num_layers - nl
+            if layers > block_size:
+                layers = block_size
+            if layers == 1:
+                dt = lats[nl] / speed
+            else:
+                dt = seqsum(lats[nl:nl + layers]) / speed
+            busy += dt
+            end = now + dt
+            if tracer is not None:
+                tracer.emit(KIND_SELECT, now, pool=self.name, npu=npu,
+                            rid=request.rid, args={"depth": 1})
+                tracer.emit(KIND_EXECUTE, now, end - now, pool=self.name,
+                            npu=npu, rid=request.rid,
+                            args={"layers": layers, "key": request._key})
+            if end >= until or nl + layers >= num_layers:
+                break
+            if energy is not None:
+                joules += energy.block_energy(request, nl, layers, dt)
+            nl += layers
+            request.next_layer = nl
+            executed += dt
+            now = end
+        request.executed_time = executed
+        request.last_run_end = now
+        self.busy_time = busy
+        self.joules_busy = joules
+        self.invocations += blocks
+        self.batch_selects += blocks
+        self.continued_blocks += blocks
+        self.in_place_blocks += blocks
+        self.running[npu] = request
+        if self._fault_mode:
+            self._inflight_charge[npu] = dt
+        return end, layers, dt
 
 
 def check_unique_names(pools: List[Pool]) -> None:

@@ -25,11 +25,28 @@ from __future__ import annotations
 import csv
 import json
 import math
+import struct
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.errors import ObservabilityError
 
 _EPS = 1e-9
+
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<Q")
+_SIGN = 1 << 63
+
+
+def _float_key(x: float) -> int:
+    """An integer that orders like the float ``x``, one apart for adjacent
+    floats (both zeros map to 0)."""
+    (bits,) = _BITS.unpack(_DOUBLE.pack(x))
+    return bits if bits < _SIGN else _SIGN - bits
+
+
+def _key_float(key: int) -> float:
+    """The float whose :func:`_float_key` is ``key``."""
+    return _DOUBLE.unpack(_BITS.pack(key if key >= 0 else _SIGN - key))[0]
 
 
 def earliest_reaching(target: float, eps: float) -> float:
@@ -41,11 +58,36 @@ def earliest_reaching(target: float, eps: float) -> float:
     if target == math.inf:
         return target
     t = target - eps
-    while t + eps < target:
-        t = math.nextafter(t, math.inf)
-    while (below := math.nextafter(t, -math.inf)) + eps >= target:
-        t = below
-    return t
+    if t + eps >= target:
+        if math.nextafter(t, -math.inf) + eps < target:
+            return t
+    elif (up := math.nextafter(t, math.inf)) + eps >= target:
+        return up
+    # ``t`` lies in a lower binade than the result, where floats are
+    # denser (near zero, and far denser, when ``target`` is near ``eps``):
+    # bracket the result with doubling steps over consecutive floats,
+    # then bisect.
+
+    def reaches(key: int) -> bool:
+        return _key_float(key) + eps >= target
+
+    lo = hi = _float_key(t)
+    step = 1
+    if reaches(hi):
+        while reaches(lo):
+            hi, lo = lo, lo - step
+            step *= 2
+    else:
+        while not reaches(hi):
+            lo, hi = hi, hi + step
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _key_float(hi)
 
 
 class Counter:
@@ -191,19 +233,15 @@ class Telemetry:
             )
         self.registry = registry if registry is not None else MetricsRegistry()
         self.interval = interval
-        self._next = 0.0
-        self.times: List[float] = []
-        self.rows: List[Dict[str, float]] = []
+        self.reset()
 
     def reset(self) -> None:
         self._next = 0.0
-        self.times = []
-        self.rows = []
-
-    @property
-    def next_poll_time(self) -> float:
-        """The earliest simulated time at which :meth:`poll` samples a row."""
-        return earliest_reaching(self._next, _EPS)
+        #: The earliest simulated time at which :meth:`poll` samples a row,
+        #: kept in step with the next grid point.
+        self.next_poll_time = earliest_reaching(0.0, _EPS)
+        self.times: List[float] = []
+        self.rows: List[Dict[str, float]] = []
 
     def poll(self, now: float) -> None:
         """Sample every cadence point that ``now`` has reached or passed."""
@@ -214,6 +252,7 @@ class Telemetry:
             # sample grid exact (no float drift) and thus bit-identical
             # across runs that poll at different event times.
             self._next = self.interval * len(self.times)
+            self.next_poll_time = earliest_reaching(self._next, _EPS)
 
     def finish(self, now: float) -> None:
         """Flush the remaining cadence points up to ``now`` (makespan)."""

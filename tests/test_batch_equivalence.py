@@ -84,6 +84,35 @@ def reference_multi(requests, scheduler, *, num_accelerators=2, **kw):
     return simulate_cluster(requests, [pool], "round-robin")
 
 
+class HeapOnlyPool(Pool):
+    """The production pool with every block boundary taken through the
+    event heap and the engine's dispatch pass: each decision parks its
+    winner's row and each boundary re-admits it, so no row stays live
+    across a block and no forced block skips the ready queue."""
+
+    def complete_block(self, now, npu, request, layers, dt, t_entry=None,
+                       push_event=None, horizon=None):
+        return super().complete_block(now, npu, request, layers, dt, t_entry)
+
+
+def counting_appends(pool_cls):
+    """``pool_cls`` with a count of its ready queue's ``append`` calls."""
+
+    class Counting(pool_cls):
+        def reset(self):
+            super().reset()
+            self.appends = 0
+            append = self.queue.append
+
+            def counted(request):
+                self.appends += 1
+                return append(request)
+
+            self.queue.append = counted
+
+    return Counting
+
+
 def assert_identical(a, b):
     assert [r.rid for r in a.requests] == [r.rid for r in b.requests]
     assert [r.finish_time for r in a.requests] == [r.finish_time for r in b.requests]
@@ -459,6 +488,96 @@ class TestClusterEquivalence:
         monkeypatch.setattr(repro.cluster, "Pool", ReferencePool)
         _, scalar = _run_cell(cell)
         assert batch == scalar
+
+    @pytest.mark.parametrize("name", ("fcfs", "energy_edp", "dysta_switchaware"))
+    def test_lone_stretch_selects_once(self, mixed_world, name):
+        # A policy whose select_single keeps per-select state hears it once
+        # per stretch of a lone request's forced blocks (the call is
+        # idempotent on a singleton), not once per block.
+        traces, lut = mixed_world
+        spec = WorkloadSpec(3.0, n_requests=100, slo_multiplier=10.0, seed=1)
+        sched = scheduler_for(name, lut)
+        calls = []
+        select_single = sched.select_single
+
+        def counting(queue, now):
+            calls.append(now)
+            return select_single(queue, now)
+
+        sched.select_single = counting
+        batch = simulate_cluster(generate_workload(traces, spec),
+                                 [Pool("p", sched, 1)])
+        scalar = simulate_cluster(generate_workload(traces, spec),
+                                  [ReferencePool("p", scheduler_for(name, lut), 1)])
+        assert 0 < len(calls) < batch.num_continued_blocks
+        assert schedule(batch) == schedule(scalar)
+
+    @pytest.mark.parametrize("name", ("dysta", "fcfs", "energy_edp",
+                                      "dysta_switchaware"))
+    @pytest.mark.parametrize("num_npus", (1, 2))
+    def test_lone_stretches_at_block_size_3(self, mixed_world, name, num_npus):
+        # Most blocks run in a lone request's stretch: multi-layer blocks
+        # (and a shorter last one) sum their latencies and price their
+        # energy per block, each block reaches the predictive router (whose
+        # work estimates place the next arrival) and emits its own spans,
+        # and no telemetry sample may read a block folded past it.
+        traces, lut = mixed_world
+        accountant = EnergyAccountant.from_model_lut(lut)
+        spec = WorkloadSpec(3.0, n_requests=120, slo_multiplier=10.0, seed=4)
+
+        def run(pool_cls):
+            pools = [pool_cls(p, scheduler_for(name, lut), num_npus, block_size=3)
+                     for p in ("a", "b")]
+            sink = ListSink()
+            obs = Observability(sinks=[sink], telemetry=0.05)
+            result = simulate_cluster(generate_workload(traces, spec), pools,
+                                      build_router("predictive", lut),
+                                      energy=accountant, obs=obs)
+            stats = [(s.busy_time, s.joules_busy)
+                     for s in result.pool_stats.values()]
+            return result, (schedule(result), stats, spans(sink),
+                            obs.telemetry.to_table())
+
+        _, expected = run(ReferencePool)
+        batch, got = run(Pool)
+        assert 2 * batch.num_continued_blocks > batch.num_scheduler_invocations
+        assert got == expected
+
+    @pytest.mark.parametrize("name", CONVERTED)
+    @pytest.mark.parametrize("num_npus", (2, 3))
+    @pytest.mark.parametrize("rate", (6.0, 12.0))
+    def test_live_rewinner_keeps_queue_layout(self, mixed_world, name,
+                                              num_npus, rate):
+        # A winner that is the request that just ran keeps its row live
+        # through an in-place stretch and is parked only when the stretch
+        # pushes its block.  Whenever anything outside the pool looks, the
+        # live rows must sit in the slots that parking and re-admitting at
+        # every boundary gives (parked rows may differ).
+        traces, lut = mixed_world
+
+        class Recording(AdmissionController):
+            def admit(self, request, pool, now):
+                self.seen.append(([r.rid for r in pool.queue],
+                                  list(pool.running)))
+                return None
+
+        def run(pool_cls):
+            admission = Recording()
+            admission.seen = []
+            pool = counting_appends(pool_cls)("a", scheduler_for(name, lut),
+                                              num_npus)
+            spec = WorkloadSpec(rate, n_requests=150, slo_multiplier=10.0, seed=1)
+            result = simulate_cluster(generate_workload(traces, spec), [pool],
+                                      admission=admission)
+            return admission.seen, schedule(result), result, pool.appends
+
+        heap_seen, expected, _, heap_appends = run(HeapOnlyPool)
+        seen, got, batch, appends = run(Pool)
+        # Every boundary the pool skipped re-admitting was a forced block
+        # or a live re-winner's refresh; some were the latter.
+        assert heap_appends - appends > batch.num_continued_blocks
+        assert seen == heap_seen
+        assert got == expected
 
     @pytest.mark.parametrize("name", available_schedulers())
     @pytest.mark.parametrize("num_npus", (2, 3))

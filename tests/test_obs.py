@@ -19,6 +19,8 @@ import math
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     AdmissionController,
@@ -58,6 +60,7 @@ from repro.obs import (
     to_chrome_trace,
 )
 from repro.obs.chrome import CONTROL_TID, QUEUE_TID
+from repro.obs.metrics import earliest_reaching
 from repro.profiling.profiler import benchmark_suite
 from repro.schedulers.base import available_schedulers, make_scheduler
 from repro.sim.engine import simulate
@@ -328,6 +331,61 @@ class TestTelemetry:
         assert telem.num_samples == 0 and telem.times == []
         telem.poll(0.0)
         assert telem.times == [0.0]
+
+
+class TestHorizonBounds:
+    """``earliest_reaching`` turns the cluster engine's tolerance tests
+    (``arrival <= now + 1e-12``, ``grid point <= now + 1e-9``) into exact
+    float bounds, and ``Telemetry.next_poll_time`` keeps one in step with
+    the sample grid."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(target=st.floats(min_value=0.0, max_value=1e7)
+           | st.floats(min_value=0.0, max_value=4e-9),
+           eps=st.sampled_from((1e-12, 1e-9)))
+    # A target at or near eps puts target - eps near zero, where floats are
+    # far denser than at the result, so the result lies very many floats
+    # away from it.
+    @example(target=1e-12, eps=1e-12)
+    @example(target=1e-9, eps=1e-9)
+    @example(target=1.0008670179124322e-12, eps=1e-12)
+    def test_least_float_reaching_target(self, target, eps):
+        t = earliest_reaching(target, eps)
+        assert t + eps >= target
+        assert math.nextafter(t, -math.inf) + eps < target
+
+    @pytest.mark.parametrize("eps", (1e-12, 1e-9))
+    def test_infinity_stays_infinite(self, eps):
+        assert earliest_reaching(math.inf, eps) == math.inf
+
+    @settings(max_examples=100, deadline=None)
+    @given(interval=st.floats(min_value=1e-3, max_value=10.0),
+           crossings=st.lists(st.integers(min_value=0, max_value=3),
+                              min_size=1, max_size=8))
+    def test_next_poll_time_follows_the_grid(self, interval, crossings):
+        telem = Telemetry(interval=interval)
+
+        def check():
+            assert telem.next_poll_time == earliest_reaching(telem._next, 1e-9)
+
+        check()
+        telem.poll(0.0)
+        telem.reset()
+        check()
+        for k in crossings:
+            before = telem.num_samples
+            # Midway between grid points, past k of them.
+            telem.poll(interval * (before + k - 0.5))
+            assert telem.num_samples == before + k
+            check()
+        telem.finish(interval * (telem.num_samples + 2.5))
+        check()
+        # The bound is exact: one float earlier, poll samples nothing.
+        before = telem.num_samples
+        telem.poll(math.nextafter(telem.next_poll_time, -math.inf))
+        assert telem.num_samples == before
+        telem.poll(telem.next_poll_time)
+        assert telem.num_samples == before + 1
 
 
 class TestPhaseProfiler:
