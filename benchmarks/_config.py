@@ -25,6 +25,25 @@ ATTNN_RATES = (10, 15, 20, 25, 30, 35, 40) if FULL else (10, 20, 30, 40)
 CNN_RATES = (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0) if FULL else (2.0, 3.0, 4.0, 6.0)
 
 
+def count_select(scheduler):
+    """Count calls to ``scheduler``'s scalar spec ``select``; returns the
+    list the calls are appended to.
+
+    A converted policy makes every decision through its kernels, so the
+    count must stay at 0: a policy that silently fell back to its spec
+    would still produce the right schedule.
+    """
+    calls = []
+    spec = scheduler.select
+
+    def counting(queue, now):
+        calls.append(now)
+        return spec(queue, now)
+
+    scheduler.select = counting
+    return calls
+
+
 def once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing.
 

@@ -22,7 +22,7 @@ from repro.cluster import Pool, build_heterogeneous_world, build_router, simulat
 from repro.schedulers.base import make_scheduler
 from repro.sim.workload import WorkloadSpec, iter_workload
 
-from _config import FULL, once
+from _config import FULL, count_select, once
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 N_REQUESTS = 2_000 if SMOKE else (100_000 if FULL else 20_000)
@@ -52,6 +52,7 @@ def _stream(traces, seed=0):
 
 def _replay(traces, lut, affinity, router_name):
     pools = _pools(lut, affinity)
+    spec_calls = [count_select(pool.scheduler) for pool in pools]
     result = simulate_cluster(
         _stream(traces),
         pools,
@@ -62,11 +63,12 @@ def _replay(traces, lut, affinity, router_name):
     assert result.requests == [] and result.shed_requests == []
     # ... must serve the whole stream ...
     assert result.num_completed == N_REQUESTS
-    # ... and must run on the vectorized fast path, deciding settled block
-    # boundaries in place (continuing lone requests on the same
-    # accelerator when a pool drains) and answering selections from the
-    # cache's changed rows when the previous winner still wins.
-    assert result.num_batch_selects > 0
+    # ... and must run on the vectorized fast path (no decision falls back
+    # to the scalar spec ``select``), deciding settled block boundaries in
+    # place (continuing lone requests on the same accelerator when a pool
+    # drains) and answering selections from the cache's changed rows when
+    # the previous winner still wins.
+    assert not any(spec_calls)
     assert result.num_in_place_blocks > 0
     assert result.num_continued_blocks > 0
     assert sum(pool.scheduler._cache.num_hits for pool in pools) > 0

@@ -5,13 +5,12 @@ these measure wall-clock throughput of the hot paths with real statistical
 rounds — regression guards for the simulator.
 
 ``REPRO_BENCH_SMOKE=1`` switches to a single-round smoke mode sized for CI:
-it still asserts that decisions went through ``select_single`` /
-``select_batch`` (``num_batch_selects > 0``), that the shallow runs stay on
-the ready queue's lists (``num_vectorized == 0`` below ``numpy_min_queue``)
-and that the deep-queue run fills its numpy columns (``num_vectorized >
-0``).  That a converted policy
-still reaches its kernels rather than ``select`` is checked by
-``tests/test_batch_equivalence.py::test_converted_policies_never_call_select``.
+it still asserts that every decision came from the policy's kernels (its
+scalar spec ``select`` is never called, as
+``tests/test_batch_equivalence.py::test_converted_policies_never_call_select``
+checks on the toy world), that the shallow runs stay on the ready queue's
+lists (``num_vectorized == 0`` below ``numpy_min_queue``) and that the
+deep-queue run fills its numpy columns (``num_vectorized > 0``).
 """
 
 import os
@@ -23,6 +22,8 @@ from repro.schedulers.base import make_scheduler
 from repro.sim.engine import simulate, simulate_reference
 from repro.sim.workload import WorkloadSpec, generate_workload
 from repro.sparsity.patterns import DENSE
+
+from _config import count_select
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 ROUNDS = 1 if SMOKE else 5
@@ -58,16 +59,19 @@ def bench_perf_engine_dysta(benchmark):
     """Phase-2 speed: Dysta on the vectorized fast path (~14k decisions)."""
     traces = benchmark_suite("attnn", n_samples=N_SAMPLES, seed=0)
     lut = ModelInfoLUT(traces)
+    spec_calls = []
 
     def setup():
-        return (_fresh_workload(traces), make_scheduler("dysta", lut)), {}
+        sched = make_scheduler("dysta", lut)
+        spec_calls.append(count_select(sched))
+        return (_fresh_workload(traces), sched), {}
 
     def run(requests, scheduler):
         return simulate(requests, scheduler), scheduler
 
     result, sched = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
     assert len(result.requests) == N_REQUESTS
-    assert result.num_batch_selects > 0
+    assert spec_calls and not any(spec_calls)
     _assert_list_only(result, sched)
 
 
@@ -91,16 +95,19 @@ def bench_perf_engine_fcfs(benchmark):
     """Phase-2 baseline speed: FCFS has the cheapest select path."""
     traces = benchmark_suite("attnn", n_samples=N_SAMPLES, seed=0)
     lut = ModelInfoLUT(traces)
+    spec_calls = []
 
     def setup():
-        return (_fresh_workload(traces), make_scheduler("fcfs", lut)), {}
+        sched = make_scheduler("fcfs", lut)
+        spec_calls.append(count_select(sched))
+        return (_fresh_workload(traces), sched), {}
 
     def run(requests, scheduler):
         return simulate(requests, scheduler), scheduler
 
     result, sched = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
     assert len(result.requests) == N_REQUESTS
-    assert result.num_batch_selects > 0
+    assert spec_calls and not any(spec_calls)
     _assert_list_only(result, sched)
 
 
@@ -109,16 +116,19 @@ def bench_perf_engine_deep_queue(benchmark):
     traces = benchmark_suite("attnn", n_samples=N_SAMPLES, seed=0)
     lut = ModelInfoLUT(traces)
     n = 120 if SMOKE else 400
+    spec_calls = []
 
     def setup():
         spec = WorkloadSpec(120.0, n_requests=n, slo_multiplier=10.0, seed=1)
-        return (generate_workload(traces, spec), make_scheduler("dysta", lut)), {}
+        sched = make_scheduler("dysta", lut)
+        spec_calls.append(count_select(sched))
+        return (generate_workload(traces, spec), sched), {}
 
     def run(requests, scheduler):
         return simulate(requests, scheduler), scheduler
 
     result, sched = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
     assert len(result.requests) == n
-    assert result.num_batch_selects > 0
+    assert spec_calls and not any(spec_calls)
     assert result.max_queue_length > 32  # deep enough to exercise numpy
     assert sched._bound.num_vectorized > 0

@@ -162,7 +162,6 @@ def time_cluster_stream(
             "wall_s": wall,
             "requests_per_s": n_requests / wall,
             "scheduler_invocations": result.num_scheduler_invocations,
-            "batch_selects": result.num_batch_selects,
             "max_queue_length": result.max_queue_length,
             "antt": result.antt,
             "violation_rate": result.violation_rate,

@@ -82,10 +82,6 @@ class PoolStats:
     busy_time: float
     #: Fraction of provisioned accelerator-seconds spent serving.
     utilization: float
-    #: Decisions served by the scheduler's ``select_single`` /
-    #: ``select_batch``: all of them except those over a queue holding a
-    #: request the LUT lacks.
-    batch_selects: int = 0
     #: Blocks a lone request continued on the same accelerator without the
     #: ready-queue round trip (a subset of ``in_place_blocks``; 0 unless
     #: the policy is ``single_drain_safe``).
@@ -138,8 +134,6 @@ class ClusterResult:
     max_queue_length: int
     pool_stats: Dict[str, PoolStats]
     metrics: Dict[str, float] = field(default_factory=dict)
-    #: ``PoolStats.batch_selects`` summed over all pools.
-    num_batch_selects: int = 0
     #: Blocks continued on the same accelerator across all pools.
     num_continued_blocks: int = 0
     #: Blocks started by a pool's in-place decision across all pools.
@@ -718,7 +712,6 @@ def simulate_cluster(
                 p.busy_time / p.acc_seconds_provisioned
                 if p.acc_seconds_provisioned > 0 else 0.0
             ),
-            batch_selects=p.batch_selects,
             continued_blocks=p.continued_blocks,
             in_place_blocks=p.in_place_blocks,
             peak_accelerators=p.peak_accelerators,
@@ -745,7 +738,6 @@ def simulate_cluster(
         max_queue_length=max(p.max_queue_length for p in pools),
         pool_stats=pool_stats,
         metrics=summary,
-        num_batch_selects=sum(p.batch_selects for p in pools),
         num_continued_blocks=sum(p.continued_blocks for p in pools),
         num_in_place_blocks=sum(p.in_place_blocks for p in pools),
         scale_events=scale_events,

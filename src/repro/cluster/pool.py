@@ -41,6 +41,7 @@ event heap.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -116,11 +117,15 @@ class Pool:
             raise SchedulingError(
                 f"pool {name!r}: need >= 1 accelerator, got {num_accelerators}"
             )
-        if speed <= 0:
-            raise SchedulingError(f"pool {name!r}: speed must be positive, got {speed}")
-        if switch_cost < 0:
+        # Each knob test is written so that NaN fails it, as infinity does.
+        if not 0 < speed < math.inf:
             raise SchedulingError(
-                f"pool {name!r}: switch cost must be >= 0, got {switch_cost}"
+                f"pool {name!r}: speed must be positive and finite, got {speed}"
+            )
+        if not 0 <= switch_cost < math.inf:
+            raise SchedulingError(
+                f"pool {name!r}: switch cost must be >= 0 and finite, "
+                f"got {switch_cost}"
             )
         if block_size < 1:
             raise SchedulingError(
@@ -132,10 +137,10 @@ class Pool:
         self.speed = speed
         self.affinity: Dict[str, float] = dict(affinity or {})
         for model, factor in self.affinity.items():
-            if factor <= 0:
+            if not 0 < factor < math.inf:
                 raise SchedulingError(
                     f"pool {name!r}: affinity factor for {model!r} must be "
-                    f"positive, got {factor}"
+                    f"positive and finite, got {factor}"
                 )
         #: ``speed * affinity[model]``, formed once per model (the same
         #: product service_speed formed per call); other models run at
@@ -182,7 +187,6 @@ class Pool:
         self._draining: Set[int] = set()
         self.preemptions = 0
         self.invocations = 0
-        self.batch_selects = 0
         #: Blocks started by a decision the pool took itself at a settled
         #: boundary (complete_block) instead of in the engine's dispatch pass.
         self.in_place_blocks = 0
@@ -549,10 +553,10 @@ class Pool:
         while self.idle and queue:
             npu = heapq.heappop(self.idle)
             nq = len(queue)
-            chosen, batched = self._choose(now, nq)
+            chosen = self._choose(now, nq)
             # Park the winner's row while it runs.
             queue.remove(chosen, requeue=True)
-            self._start_block(now, npu, chosen, nq, batched, push_event)
+            self._start_block(now, npu, chosen, nq, push_event)
         if prof is not None:
             t_out = self._t_exit = perf_counter()
             self._p_dispatch_s += ((t_out - t_in)
@@ -560,32 +564,24 @@ class Pool:
                                    - (self._p_heap_s - heap_s0))
             self._p_dispatch_c += 1
 
-    def _choose(self, now: float, nq: int) -> Tuple[Request, bool]:
-        """Decide among the ``nq`` queued requests; the winner's row stays
-        live.  Returns the winner and whether the scheduler's
-        ``select_single`` / ``select_batch`` decided."""
+    def _choose(self, now: float, nq: int) -> Request:
+        """Decide among the ``nq`` queued requests through the scheduler's
+        ``select_single`` / ``select_batch``; the winner's row stays live."""
         queue = self.queue
         scheduler = self.scheduler
         if self._prof is not None:
             t1 = perf_counter()
-        if queue.missing_entries:
-            # A request without a LUT entry: estimate-based policies
-            # must raise their usual error, so ask the spec.
-            chosen = scheduler.select_checked(queue, now)
-            batched = False
-        elif nq == 1:
+        if nq == 1:
             chosen = scheduler.select_single(queue, now)
-            batched = True
         else:
             chosen = scheduler.select_batch(queue, now)
-            batched = True
         if self._prof is not None:
             self._p_select_s += perf_counter() - t1
             self._p_select_c += 1
-        return chosen, batched
+        return chosen
 
     def _start_block(self, now: float, npu: int, chosen: Request, nq: int,
-                     batched: bool, push_event: Optional[Callable[..., None]],
+                     push_event: Optional[Callable[..., None]],
                      ) -> Optional[Tuple[float, int, float]]:
         """Start half of the block lifecycle: run ``chosen`` on ``npu``.
 
@@ -599,8 +595,6 @@ class Pool:
         """
         tracer = self._tracer
         self.invocations += 1
-        if batched:
-            self.batch_selects += 1
         if nq > self.max_queue_length:
             self.max_queue_length = nq
         if tracer is not None:
@@ -770,13 +764,12 @@ class Pool:
                 if self._note_progress is not None:
                     self._note_progress(self, request)
                 nq = queue._n
-                chosen, batched = self._choose(now, nq)
+                chosen = self._choose(now, nq)
                 live = chosen is request
                 if not live:
                     queue.remove(chosen, requeue=True)
                 self.in_place_blocks += 1
-                end, layers, dt = self._start_block(now, npu, chosen, nq,
-                                                    batched, None)
+                end, layers, dt = self._start_block(now, npu, chosen, nq, None)
                 if end < until and chosen.next_layer + layers < chosen._num_layers:
                     now, request = end, chosen
                     continue
@@ -851,8 +844,8 @@ class Pool:
         a singleton queue (no preemption, switch, queue wait or stall, as
         ``request`` last ran on ``npu``, and no new maximum depth): the
         router's ``note_progress``, the select span at depth 1, the execute
-        span, ``busy_time`` and the invocation, batch-select, continued and
-        in-place counts.  A block that ends before ``until`` and leaves the
+        span, ``busy_time`` and the invocation, continued and in-place
+        counts.  A block that ends before ``until`` and leaves the
         request unfinished is folded here as :meth:`complete_block` would
         (energy, then progress); the first one that does not stays running
         on ``npu``, and its ``(end, layers, dt)`` is returned for the
@@ -912,7 +905,6 @@ class Pool:
         self.busy_time = busy
         self.joules_busy = joules
         self.invocations += blocks
-        self.batch_selects += blocks
         self.continued_blocks += blocks
         self.in_place_blocks += blocks
         self.running[npu] = request

@@ -78,7 +78,6 @@ class DystaScheduler(Scheduler):
     name = "dysta"
     batch_columns = ("deadline", "last_run_end")
     single_drain_safe = True
-    trivial_single = True  # select_single is queue[0] (no resident tracking)
     supports_incremental = True
 
     #: Switch-cost extension hooks (see :class:`DystaSwitchAware`); the base
@@ -224,8 +223,7 @@ class DystaScheduler(Scheduler):
 
     # -- vectorized fast path ----------------------------------------------
 
-    def select_single(self, queue: "ReadyQueue", now: float) -> Request:
-        return queue[0]
+    select_single = Scheduler.select_first  # no resident tracking
 
     def inc_guard(self):
         # Switch-aware scores depend on which request is resident, but only
@@ -314,8 +312,6 @@ class DystaSwitchAware(DystaScheduler):
     hardware cost.
     """
 
-    trivial_single = False  # select_single updates the resident-model state
-
     def __init__(self, lut: ModelInfoLUT, switch_cost: float = 0.0, **kwargs):
         super().__init__(lut, **kwargs)
         if switch_cost < 0:
@@ -362,7 +358,6 @@ class DystaStaticOnly(Scheduler):
 
     batch_columns = ()
     single_drain_safe = True
-    trivial_single = True
     supports_incremental = True  # static key: zero decay, exact bounds
 
     def __init__(self, lut: ModelInfoLUT, beta: float = 0.5):
@@ -395,8 +390,7 @@ class DystaStaticOnly(Scheduler):
     def select(self, queue: Sequence[Request], now: float) -> Request:
         return min(queue, key=lambda r: (self._scores.get(r.rid, 0.0), r.rid))
 
-    def select_single(self, queue: "ReadyQueue", now: float) -> Request:
-        return queue[0]
+    select_single = Scheduler.select_first
 
     def inc_best(self, queue: "ReadyQueue", idxs, now: float):
         sc_l = self._t_sc

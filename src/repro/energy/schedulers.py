@@ -67,7 +67,6 @@ class EnergyEDPScheduler(Scheduler):
 
     batch_columns = ("arrival",)
     single_drain_safe = True
-    trivial_single = False  # select_single updates the resident-weights key
     # Static selection key *given* the resident key id: scores only change
     # when the resident kid does, and the inc_guard forces a re-scan then.
     supports_incremental = True

@@ -198,8 +198,8 @@ class SweepConfig:
              f"profile samples must be positive, got {self.n_profile_samples}"),
             (self.pool_size < 1, f"pool size must be >= 1, got {self.pool_size}"),
             (self.block_size < 1, f"block size must be >= 1, got {self.block_size}"),
-            (not self.switch_cost >= 0,
-             f"switch cost must be >= 0, got {self.switch_cost}"),
+            (not 0 <= self.switch_cost < math.inf,
+             f"switch cost must be >= 0 and finite, got {self.switch_cost}"),
             (cluster and depth is not None and depth < 1,
              f"max queue depth must be >= 1, got {depth}"),
             (scaled and not self.autoscale_interval > 0,

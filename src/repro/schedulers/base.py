@@ -55,15 +55,15 @@ class Scheduler(abc.ABC):
     #: for several consecutive layer blocks without re-invoking selection.
     single_drain_safe: bool = False
 
-    #: Queue depth at which an uncached ``select_batch`` switches from the
-    #: list kernel (:meth:`inc_best` over every row) to the numpy kernel
-    #: (:meth:`np_scores`); numpy's per-ufunc dispatch overhead dominates
-    #: below this.
+    #: Queue depth at which ``select_batch`` leaves the list kernel
+    #: (:meth:`inc_best` over every row) for the selection cache, or the
+    #: numpy kernel (:meth:`np_scores`) without one: both cost more below
+    #: it.  Tests drop it to 0 to force the cache on tiny queues.
     numpy_min_queue: int = 32
 
-    #: True when ``select_single`` is exactly "return queue[0]" with no state
-    #: update; the engine then skips the call entirely on singleton queues.
-    trivial_single: bool = False
+    #: Derived per class: ``select_single`` is :meth:`select_first`, so the
+    #: engine skips the call entirely on singleton queues.
+    trivial_single: bool
 
     #: Trace bus attached by the engine for the current run (``None`` when
     #: tracing is off).  Policies that make observable control decisions
@@ -95,16 +95,6 @@ class Scheduler(abc.ABC):
     #: recomputed per lookup and need a hair of headroom.
     inc_margin: float = 0.0
 
-    #: Most rows the selection cache re-scores per lookup: a journal of
-    #: more touched rows than this forces a full scan.
-    inc_journal_cap: int = 48
-
-    #: Queue depth below which ``select_batch`` bypasses the selection cache
-    #: and scans directly: on a shallow queue the list kernel is cheaper
-    #: than cache bookkeeping (same crossover as the numpy path).  Tests
-    #: drop it to 0 to force the cache on tiny queues.
-    inc_min_queue: int = 32
-
     def __init__(self, lut: ModelInfoLUT):
         self.lut = lut
         self._bound: "ReadyQueue" = None  # type: ignore[assignment]
@@ -116,6 +106,7 @@ class Scheduler(abc.ABC):
         if (cls.inc_best is Scheduler.inc_best
                 and cls.select_batch is Scheduler.select_batch):
             cls.select_batch = Scheduler.select_checked
+        cls.trivial_single = cls.select_single is Scheduler.select_first
 
     def bind_queue(self, queue: Optional["ReadyQueue"]) -> None:
         """Attach the engine's ready queue for this run (``None`` from
@@ -173,8 +164,7 @@ class Scheduler(abc.ABC):
 
     def select_checked(self, queue: Sequence[Request], now: float) -> Request:
         """:meth:`select`, checked to pick a member of ``queue``: how the
-        engines decide for a policy without kernels, and over a queue
-        holding a request the LUT lacks (LUT-driven policies then raise)."""
+        engines decide for a policy without kernels."""
         chosen = self.select(queue, now)
         if chosen not in queue:
             raise SchedulingError(
@@ -182,24 +172,28 @@ class Scheduler(abc.ABC):
             )
         return chosen
 
+    def select_first(self, queue: Sequence[Request], now: float) -> Request:
+        """``queue[0]``: ``select_single`` without per-select state."""
+        return queue[0]
+
     #: One-request selection; the default is the checked spec.  Converted
-    #: policies return ``queue[0]`` after any per-select state update.  The
-    #: pool's continuation passes a one-element tuple, not the ready queue.
+    #: policies use :meth:`select_first` or update per-select state first.
+    #: The pool's continuation passes a one-element tuple, not the queue.
     select_single = select_checked
 
     def select_batch(self, queue: "ReadyQueue", now: float) -> Request:
-        """Vectorized selection over the ready queue's columns: the
-        selection cache on deep queues, else the numpy kernel from
-        ``numpy_min_queue`` rows, else the list kernel over every row."""
+        """Vectorized selection over the ready queue's columns: the list
+        kernel over every row below ``numpy_min_queue`` rows, else the
+        selection cache, else the numpy kernel."""
         n = queue._n
+        if n < self.numpy_min_queue:
+            return queue._requests[self.inc_best(queue, range(n), now)[0]]
         cache = self._cache
-        if cache is not None and n >= self.inc_min_queue:
+        if cache is not None:
             return cache.lookup(now)
-        if n >= self.numpy_min_queue:
-            queue.vectorize()
-            score, ties = self.np_scores(queue, now)
-            return queue._requests[np_lexmin(score, *ties)]
-        return queue._requests[self.inc_best(queue, range(n), now)[0]]
+        queue.vectorize()
+        score, ties = self.np_scores(queue, now)
+        return queue._requests[np_lexmin(score, *ties)]
 
     def reset(self) -> None:
         """Clear any cross-run state; called by the engine before a run."""

@@ -28,7 +28,6 @@ class OracleScheduler(Scheduler):
 
     batch_columns = ("true_remaining", "true_isolated", "deadline", "last_run_end")
     single_drain_safe = True
-    trivial_single = True
     supports_incremental = True
 
     def __init__(self, lut: ModelInfoLUT, eta: float = 0.02):
@@ -57,8 +56,7 @@ class OracleScheduler(Scheduler):
 
     # -- vectorized fast path ----------------------------------------------
 
-    def select_single(self, queue: "ReadyQueue", now: float) -> Request:
-        return queue[0]
+    select_single = Scheduler.select_first
 
     def inc_best(self, queue: "ReadyQueue", idxs, now: float):
         eta = self.eta

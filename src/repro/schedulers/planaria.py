@@ -38,7 +38,6 @@ class PlanariaScheduler(Scheduler):
 
     batch_columns = ("est_remaining", "deadline")
     single_drain_safe = True
-    trivial_single = True
 
     def _feasible(self, req: Request, now: float) -> bool:
         """Can the task still meet its SLO if dispatched immediately?
@@ -56,8 +55,7 @@ class PlanariaScheduler(Scheduler):
             key=lambda r: (r.deadline - now - self.estimated_remaining(r), r.rid),
         )
 
-    def select_single(self, queue: "ReadyQueue", now: float) -> Request:
-        return queue[0]
+    select_single = Scheduler.select_first
 
     def inc_best(self, queue: "ReadyQueue", idxs: Sequence[int],
                  now: float) -> Tuple[int, float]:

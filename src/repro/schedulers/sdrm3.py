@@ -11,13 +11,13 @@ SDRM3 at FCFS-level ANTT with *worse* violations (Table 5).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.core.lut import ModelInfoLUT
-from repro.schedulers.base import Scheduler, register_scheduler
-from repro.sim.ready_queue import ReadyQueue, np_lexmin
+from repro.schedulers.base import INF, Scheduler, register_scheduler
+from repro.sim.ready_queue import ReadyQueue
 from repro.sim.request import Request
 
 
@@ -32,7 +32,6 @@ class SDRM3Scheduler(Scheduler):
 
     batch_columns = ("est_remaining", "deadline", "arrival", "executed_time")
     single_drain_safe = True
-    trivial_single = True
 
     def __init__(self, lut: ModelInfoLUT, alpha: float = 2.0):
         super().__init__(lut)
@@ -64,40 +63,22 @@ class SDRM3Scheduler(Scheduler):
         )
 
     # -- vectorized fast path ----------------------------------------------
+    # Both kernels score -MapScore with ties to the smaller rid: exactly
+    # the spec's max over (MapScore, -rid), as negation is exact.
 
-    def select_single(self, queue: "ReadyQueue", now: float) -> Request:
-        return queue[0]
+    select_single = Scheduler.select_first
 
-    def select_batch(self, queue: "ReadyQueue", now: float) -> Request:
-        n = queue._n
+    def inc_best(self, queue: "ReadyQueue", idxs: Sequence[int],
+                 now: float) -> Tuple[int, float]:
         alpha = self.alpha
-        if n >= self.numpy_min_queue:
-            queue.vectorize()
-            window = queue.np_deadline[:n] - now
-            safe_w = np.where(window > 0, window, 1.0)
-            urgency = np.where(
-                window <= 0, 10.0,
-                np.minimum(queue.np_est_remaining[:n] / safe_w, 10.0),
-            )
-            age = now - queue.np_arrival[:n]
-            safe_age = np.where(age > 0, age, 1.0)
-            fairness = np.where(
-                age <= 0, 0.0,
-                1.0 - np.minimum(queue.np_executed_time[:n] / safe_age, 1.0),
-            )
-            score = urgency + alpha * fairness
-            # max score; ties broken towards the smallest rid (scalar uses
-            # key (score, -rid) under max).
-            return queue[np_lexmin(np.negative(score), queue.np_rid[:n])]
         rem_l = queue.ls_est_remaining
         dl_l = queue.ls_deadline
         arr_l = queue.ls_arrival
         ex_l = queue.ls_executed_time
         rid_l = queue.ls_rid
-        best = 0
-        best_score = None
-        best_rid = 0
-        for i in range(n):
+        best = -1
+        b_score = b_rid = INF
+        for i in idxs:
             window = dl_l[i] - now
             if window <= 0:
                 urgency = 10.0
@@ -113,10 +94,24 @@ class SDRM3Scheduler(Scheduler):
                 if share > 1.0:
                     share = 1.0
                 fairness = 1.0 - share
-            score = urgency + alpha * fairness
+            score = -(urgency + alpha * fairness)
             rid = rid_l[i]
-            if best_score is None or score > best_score or (
-                score == best_score and rid < best_rid
-            ):
-                best, best_score, best_rid = i, score, rid
-        return queue._requests[best]
+            if score < b_score or (score == b_score and rid < b_rid):
+                best, b_score, b_rid = i, score, rid
+        return best, b_score
+
+    def np_scores(self, queue: "ReadyQueue", now: float):
+        n = queue._n
+        window = queue.np_deadline[:n] - now
+        safe_w = np.where(window > 0, window, 1.0)
+        urgency = np.where(
+            window <= 0, 10.0,
+            np.minimum(queue.np_est_remaining[:n] / safe_w, 10.0),
+        )
+        age = now - queue.np_arrival[:n]
+        safe_age = np.where(age > 0, age, 1.0)
+        fairness = np.where(
+            age <= 0, 0.0,
+            1.0 - np.minimum(queue.np_executed_time[:n] / safe_age, 1.0),
+        )
+        return np.negative(urgency + self.alpha * fairness), (queue.np_rid[:n],)

@@ -30,14 +30,12 @@ class SJFScheduler(Scheduler):
 
     batch_columns = ("est_remaining", "arrival")
     single_drain_safe = True
-    trivial_single = True
     supports_incremental = True
 
     def select(self, queue: Sequence[Request], now: float) -> Request:
         return min(queue, key=lambda r: (self.estimated_remaining(r), r.arrival, r.rid))
 
-    def select_single(self, queue: "ReadyQueue", now: float) -> Request:
-        return queue[0]
+    select_single = Scheduler.select_first
 
     def inc_best(self, queue: "ReadyQueue", idxs: Sequence[int],
                  now: float) -> Tuple[int, float]:

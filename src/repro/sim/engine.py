@@ -23,6 +23,7 @@ tests hold the engines to, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, List, Optional, Sequence
@@ -67,10 +68,6 @@ class SimResult:
     #: Largest ready-queue occupancy seen at any scheduling decision — the
     #: quantity the hardware scheduler's FIFO depth must cover (Sec 5.2.1).
     max_queue_length: int = 0
-    #: Decisions served by ``select_single`` / ``select_batch`` (drained
-    #: boundaries included); only decisions over a queue holding a request
-    #: the LUT lacks go elsewhere, and :func:`simulate_reference` reports 0.
-    num_batch_selects: int = 0
     metrics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -125,8 +122,11 @@ class SimResult:
 def _validate(requests, switch_cost: float, block_size: int) -> None:
     if not requests:
         raise SchedulingError("cannot simulate an empty workload")
-    if switch_cost < 0:
-        raise SchedulingError(f"switch cost must be >= 0, got {switch_cost}")
+    # Written so that NaN fails it, as an infinite cost does.
+    if not 0 <= switch_cost < math.inf:
+        raise SchedulingError(
+            f"switch cost must be >= 0 and finite, got {switch_cost}"
+        )
     if block_size < 1:
         raise SchedulingError(f"block size must be >= 1, got {block_size}")
     for req in requests:
@@ -294,7 +294,6 @@ def _simulate_loop(pending, scheduler, switch_cost, block_size, obs=None) -> Sim
     preemptions = 0
     invocations = 0
     max_queue = 0
-    batch_selects = 0
     last_running = None
     resident_request = None
     resident_key = None
@@ -312,7 +311,6 @@ def _simulate_loop(pending, scheduler, switch_cost, block_size, obs=None) -> Sim
     on_arrival = scheduler.on_arrival
     on_layer_complete = scheduler.on_layer_complete
     on_complete = scheduler.on_complete
-    select_checked = scheduler.select_checked
     select_single = scheduler.select_single
     select_batch = scheduler.select_batch
     q_add = queue.add
@@ -339,16 +337,10 @@ def _simulate_loop(pending, scheduler, switch_cost, block_size, obs=None) -> Sim
 
         if prof is not None:
             t0 = perf_counter()
-        if queue._missing:
-            # A request without a LUT entry: estimate-based policies must
-            # raise their usual error, so ask the spec.
-            chosen = select_checked(queue, now)
-        elif nq == 1:
+        if nq == 1:
             chosen = queue._requests[0] if trivial_single else select_single(queue, now)
-            batch_selects += 1
         else:
             chosen = select_batch(queue, now)
-            batch_selects += 1
         if prof is not None:
             prof.add(PHASE_SELECT, perf_counter() - t0)
         if tracer is not None:
@@ -418,7 +410,6 @@ def _simulate_loop(pending, scheduler, switch_cost, block_size, obs=None) -> Sim
                     nl += 1
                     et += dt
                     invocations += 1
-                    batch_selects += 1
             else:
                 while nl < num_layers and (i >= n or arrivals[i] > now + _EPS):
                     for _ in range(min(block_size, num_layers - nl)):
@@ -427,7 +418,6 @@ def _simulate_loop(pending, scheduler, switch_cost, block_size, obs=None) -> Sim
                         nl += 1
                         et += dt
                     invocations += 1
-                    batch_selects += 1
         chosen.next_layer = nl
         chosen.executed_time = et
         chosen.last_run_end = now
@@ -471,5 +461,4 @@ def _simulate_loop(pending, scheduler, switch_cost, block_size, obs=None) -> Sim
         num_preemptions=preemptions,
         num_scheduler_invocations=invocations,
         max_queue_length=max_queue,
-        num_batch_selects=batch_selects,
     )

@@ -88,7 +88,6 @@ def simulate_multi(
         num_preemptions=run.num_preemptions,
         num_scheduler_invocations=run.num_scheduler_invocations,
         max_queue_length=run.max_queue_length,
-        num_batch_selects=run.num_batch_selects,
     )
     if energy is not None:
         from repro.energy.accounting import energy_summary

@@ -24,8 +24,10 @@ deep-queue kernels), maintained incrementally:
   boundary swaps it back into slot ``_n`` and refreshes only its progress
   columns.  Both halves are O(1), and the live rows end up in the same
   order a swap-remove plus an append would give.  Parked rows are
-  invisible to the ``Sequence`` protocol, lookups, progress updates, the
-  change journal and :attr:`~ReadyQueue.missing_entries`.
+  invisible to the ``Sequence`` protocol, lookups, progress updates and
+  the change journal.
+* **LUT entries checked at admission** — with an ``est_*`` column, a fresh
+  request the LUT lacks is refused with the scalar estimators' error.
 
 The queue also implements the ``Sequence`` protocol over the live
 :class:`~repro.sim.request.Request` objects, so a policy's scalar
@@ -115,7 +117,6 @@ class ReadyQueue(Sequence):
         #: ``[_n, _n + len(_parked))`` of every column; the list mirrors
         #: cover live and parked rows alike.
         self._parked: Dict[int, int] = {}
-        self._missing = 0  # live requests without a LUT entry
         #: Change journal for the incremental selection cache: live rids
         #: touched since the cache's previous lookup.  ``None`` until a
         #: cache attaches via :meth:`enable_journal`, so runs without a
@@ -131,9 +132,8 @@ class ReadyQueue(Sequence):
         self.np_rid = np.empty(self._cap, dtype=np.int64)
         self.ls_rid: List[int] = []
         self._need_entry = "est_isolated" in self._cols or "est_remaining" in self._cols
-        #: Per row (live and parked): the LUT entry's remaining-suffix
-        #: tuple, or None when the LUT lacks the request's key.
-        self._ls_suffix: List[Optional[Tuple[float, ...]]] = []
+        #: Per row (live and parked): the LUT entry's remaining-suffix tuple.
+        self._ls_suffix: List[Tuple[float, ...]] = []
         for col in KNOWN_COLUMNS:
             active = col in self._cols
             setattr(self, f"np_{col}", np.empty(self._cap) if active else None)
@@ -183,16 +183,6 @@ class ReadyQueue(Sequence):
         if i is not None and self._requests[i] is request:
             return i
         return -1
-
-    @property
-    def missing_entries(self) -> int:
-        """Live requests whose (model, pattern) key is absent from the LUT.
-
-        When nonzero, the engines decide through the policy's checked
-        ``select`` so the LUT-driven policies raise the same error they
-        always did.
-        """
-        return self._missing
 
     # -- change journal (incremental selection cache) -----------------------
 
@@ -366,7 +356,8 @@ class ReadyQueue(Sequence):
         left them, and :meth:`update_progress` refreshes the progress
         columns.  A fresh request fills every active column from its cached
         state in the first free slot, past any parked rows, and then swaps
-        into slot ``_n``.
+        into slot ``_n``.  A fresh request the LUT lacks raises before
+        anything is written (a parked row was checked when it arrived).
         """
         rid = request.rid
         n = self._n
@@ -380,13 +371,15 @@ class ReadyQueue(Sequence):
                 self._requests.append(request)
                 self._pos[rid] = n
                 self._n = n + 1
-                if self._need_entry and self._ls_suffix[n] is None:
-                    self._missing += 1
                 self.update_progress(request)
                 return n
             i = n + len(parked)
         else:
             i = n
+        if self._need_entry:
+            entry = request.lut_entry(self._lut) if self._lut is not None else None
+            if entry is None:
+                raise SchedulingError(f"no LUT entry for {request.key!r}")
         if i == self._cap:
             self._grow()
         self._requests.append(request)
@@ -413,19 +406,12 @@ class ReadyQueue(Sequence):
             if "executed_time" in cols:
                 self.ls_executed_time.append(request.executed_time)
             if self._need_entry:
-                entry = request.lut_entry(self._lut) if self._lut is not None else None
-                if entry is None:
-                    suffix = None
-                    self._missing += 1
-                else:
-                    suffix = entry.remaining_suffix_t
+                suffix = entry.remaining_suffix_t
                 self._ls_suffix.append(suffix)
                 if "est_isolated" in cols:
-                    self.ls_est_isolated.append(
-                        np.nan if entry is None else entry.avg_total_latency)
+                    self.ls_est_isolated.append(entry.avg_total_latency)
                 if "est_remaining" in cols:
-                    self.ls_est_remaining.append(
-                        np.nan if suffix is None else suffix[request.next_layer])
+                    self.ls_est_remaining.append(suffix[request.next_layer])
 
         aux = self._aux.values()
         for col in aux:
@@ -480,8 +466,6 @@ class ReadyQueue(Sequence):
             self._swap(i, last)
         reqs.pop()
         self._n = last
-        if self._need_entry and self._ls_suffix[last] is None:
-            self._missing -= 1
         self._parked[rid] = last
         if not last and self._vectorized:
             for name in self._aux:
@@ -530,9 +514,7 @@ class ReadyQueue(Sequence):
             if self._vectorized:
                 self.np_true_remaining[i] = v
         if self._up_est_rem:
-            suffix = self._ls_suffix[i]
-            if suffix is not None:
-                v = suffix[request.next_layer]
-                self.ls_est_remaining[i] = v
-                if self._vectorized:
-                    self.np_est_remaining[i] = v
+            v = self._ls_suffix[i][request.next_layer]
+            self.ls_est_remaining[i] = v
+            if self._vectorized:
+                self.np_est_remaining[i] = v

@@ -96,6 +96,10 @@ class Request:
                     f"latency {lat!r}"
                 )
             total += lat
+        if not -math.inf < self.arrival < math.inf:
+            raise SchedulingError(
+                f"request {self.rid}: arrival must be finite, got {self.arrival!r}"
+            )
         if not self.slo > 0:
             raise SchedulingError(
                 f"request {self.rid}: SLO must be positive, got {self.slo!r}"

@@ -26,7 +26,7 @@ grows, so a policy with ``decay > 0`` also refuses whenever ``n > n_S``.
 so an arrival is simply a changed row.  ``margin`` absorbs float rounding
 in the recomputation (static keys compare stored bits and use 0).
 
-Any refusal — journal overflow past ``inc_journal_cap``, queue growth, an
+Any refusal — journal overflow past :data:`JOURNAL_CAP`, queue growth, an
 ``inc_guard`` change, no live candidate, a bound miss — runs the numpy
 kernel ``np_scores`` over the whole queue (``Scheduler.inc_full_scan``),
 which resets ``S`` to its second-smallest primary score.  An accepted
@@ -42,19 +42,21 @@ from typing import List
 
 import numpy as np
 
+#: Most rows a lookup re-scores: a longer journal forces a full scan.
+JOURNAL_CAP = 48
+
 
 class SelectionCache:
     """Per-(scheduler, queue) incremental argmin state."""
 
     __slots__ = (
-        "sched", "queue", "cap", "decay", "margin", "guard", "valid",
+        "sched", "queue", "decay", "margin", "guard", "valid",
         "winner", "s_bound", "t_s", "n_s", "num_hits", "num_scans",
     )
 
     def __init__(self, sched, queue):
         self.sched = sched
         self.queue = queue
-        self.cap = sched.inc_journal_cap
         self.decay = sched.inc_decay_rate
         self.margin = sched.inc_margin
         self.guard = None
@@ -75,7 +77,7 @@ class SelectionCache:
         if (
             self.valid
             and not queue._journal_all
-            and len(journal) <= self.cap
+            and len(journal) <= JOURNAL_CAP
             and (not decay or queue._n <= self.n_s)
             and sched.inc_guard() == self.guard
         ):

@@ -9,6 +9,7 @@ PREMA's setup, optionally drawn from a mix of SLO classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -27,14 +28,15 @@ def check_class_mix(
     """Validate a (value, weight) class mixture (``None`` is always valid).
 
     Shared by ``WorkloadSpec`` and the scenario engine's ``Phase`` so the
-    mixture semantics cannot diverge between the two workload paths.
+    mixture semantics cannot diverge between the two workload paths.  Each
+    test is written so that NaN fails it.
     """
     if classes is None:
         return
     if not classes:
         raise SchedulingError(f"{label} must be None or non-empty")
     for value, weight in classes:
-        if value <= 0 or weight < 0:
+        if not (value > 0 and 0 <= weight < math.inf):
             raise SchedulingError(
                 f"invalid {label} entry (value={value}, weight={weight})"
             )
@@ -94,13 +96,17 @@ class WorkloadSpec:
     start_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
+        # Each test is written so that NaN fails it: NaN arrivals never
+        # reach an engine.
+        if not self.arrival_rate > 0:
             raise SchedulingError(f"arrival rate must be positive, got {self.arrival_rate}")
-        if self.start_time < 0:
-            raise SchedulingError(f"start time must be >= 0, got {self.start_time}")
+        if not 0 <= self.start_time < math.inf:
+            raise SchedulingError(
+                f"start time must be >= 0 and finite, got {self.start_time}"
+            )
         if self.n_requests <= 0:
             raise SchedulingError(f"n_requests must be positive, got {self.n_requests}")
-        if self.slo_multiplier <= 0:
+        if not self.slo_multiplier > 0:
             raise SchedulingError(
                 f"slo multiplier must be positive, got {self.slo_multiplier}"
             )

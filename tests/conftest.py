@@ -145,7 +145,7 @@ class ReferencePool(Pool):
                     "outside the queue"
                 )
             self.queue.remove(chosen)
-            self._start_block(now, npu, chosen, nq, False, push_event)
+            self._start_block(now, npu, chosen, nq, push_event)
 
     def complete_block(self, now, npu, request, layers, dt, t_entry=None,
                        push_event=None, horizon=None):

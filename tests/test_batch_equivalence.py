@@ -31,7 +31,7 @@ from repro.cluster import (
 )
 from repro.cluster.policies import AutoscalePolicy
 from repro.energy import EnergyAccountant
-from repro.errors import SchedulingError
+from repro.errors import HardwareModelError, SchedulingError
 from repro.core.lut import ModelInfoLUT
 from repro.faults import FaultEvent, FaultSpec
 from repro.faults.spec import KIND_OUTAGE
@@ -129,15 +129,15 @@ class TestSingleEngineEquivalence:
                                     scheduler_for(name, toy_lut))
         batch = simulate(toy_workload(toy_traces), scheduler_for(name, toy_lut))
         assert_identical(scalar, batch)
-        assert scalar.num_batch_selects == 0
-        assert batch.num_batch_selects > 0
 
     @pytest.mark.parametrize("name", CONVERTED)
     def test_numpy_path_matches_scalar(self, toy_traces, toy_lut, name):
         scalar = simulate_reference(toy_workload(toy_traces),
                                     scheduler_for(name, toy_lut))
         sched = scheduler_for(name, toy_lut)
-        sched.numpy_min_queue = 2  # force the numpy branch at any depth
+        # Force the numpy branch at any depth (the cache would take it).
+        sched.numpy_min_queue = 2
+        sched.incremental = False
         batch = simulate(toy_workload(toy_traces), sched)
         assert_identical(scalar, batch)
 
@@ -184,7 +184,6 @@ class TestMultiEngineEquivalence:
                                scheduler_for(name, toy_lut),
                                num_accelerators=2)
         assert_identical(scalar, batch)
-        assert batch.num_batch_selects > 0
 
     def test_switch_cost_and_blocks(self, toy_traces, toy_lut):
         kw = {"num_accelerators": 3, "switch_cost": 0.001, "block_size": 2}
@@ -227,7 +226,6 @@ class TestLazyVectorization:
 
         for ref, result, sched in self.runs(toy_lut, name, workload):
             assert_identical(ref, result)
-            assert result.num_batch_selects > 0
             assert result.max_queue_length < sched.numpy_min_queue
             assert sched._bound.num_vectorized == 0
 
@@ -304,6 +302,79 @@ class TestEveryPolicy:
             assert len(result.requests) == 120
             assert calls == [], engine.__name__
 
+    @pytest.mark.parametrize("name", available_schedulers())
+    def test_trivial_single_is_derived(self, toy_lut, name):
+        sched = scheduler_for(name, toy_lut)
+        first = type(sched).select_single is Scheduler.select_first
+        assert sched.trivial_single is first
+        assert first == (name in TRIVIAL_SINGLE)
+
+
+#: Policies whose one-request decision is ``Scheduler.select_first``.
+TRIVIAL_SINGLE = ("dysta", "dysta_nosparse", "dysta_static", "oracle",
+                  "planaria", "sdrm3", "sjf")
+
+#: How a run meets a request whose key the LUTs lack: the error class and
+#: message it raises, or None when it completes.
+NO_ENTRY = (SchedulingError, "no LUT entry for 'alexnet/dense'")
+UNKNOWN_MODEL_OUTCOME = {
+    "dysta": NO_ENTRY,
+    "dysta_hw": (HardwareModelError, "no LUT entry for 'alexnet/dense'"),
+    "dysta_nosparse": NO_ENTRY,
+    "dysta_static": NO_ENTRY,
+    "dysta_switchaware": NO_ENTRY,
+    "edf": None,
+    "energy_edp": (SchedulingError, "no energy LUT entry for 'alexnet/dense'"),
+    "energy_powercap": (SchedulingError,
+                        "no energy LUT entry for 'alexnet/dense'"),
+    "fcfs": None,
+    "las": None,
+    "oracle": None,
+    "planaria": NO_ENTRY,
+    "prema": NO_ENTRY,
+    "round_robin": None,
+    "sdrm3": NO_ENTRY,
+    "sjf": NO_ENTRY,
+    "srpt_oracle": None,
+}
+
+
+class TestUnknownModel:
+    """A request whose (model, pattern) key the LUT lacks, mid-stream: each
+    policy raises its estimators' error or completes, on every engine."""
+
+    @staticmethod
+    def workload(toy_traces):
+        spec = WorkloadSpec(150.0, n_requests=30, slo_multiplier=5.0, seed=0)
+        requests = generate_workload(toy_traces, spec)
+        requests.append(make_request(rid=30, model="alexnet",
+                                     arrival=requests[14].arrival))
+        return requests
+
+    @pytest.mark.parametrize("engine", ("simulate", "multi", "cluster"))
+    @pytest.mark.parametrize("name", available_schedulers())
+    def test_outcome(self, toy_traces, toy_lut, name, engine):
+        def run():
+            requests = self.workload(toy_traces)
+            if engine == "simulate":
+                return simulate(requests, make_scheduler(name, toy_lut))
+            if engine == "multi":
+                return simulate_multi(requests, make_scheduler(name, toy_lut),
+                                      num_accelerators=2)
+            pools = [Pool(p, make_scheduler(name, toy_lut), 1) for p in "ab"]
+            return simulate_cluster(requests, pools,
+                                    build_router("jsq", toy_lut))
+
+        outcome = UNKNOWN_MODEL_OUTCOME[name]
+        if outcome is None:
+            assert len(run().requests) == 31
+            return
+        error, message = outcome
+        with pytest.raises(error) as info:
+            run()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
 
 class TestClusterEquivalence:
     @pytest.mark.parametrize("name", ("dysta", "prema"))
@@ -323,8 +394,6 @@ class TestClusterEquivalence:
         }
         assert scalar.makespan == batch.makespan
         assert scalar.num_preemptions == batch.num_preemptions
-        assert batch.num_batch_selects > 0
-        assert scalar.num_batch_selects == 0
 
     # A pool whose lone request finishes a block starts its next block on
     # the same accelerator (Pool.complete_block); the reference pool never
@@ -586,7 +655,7 @@ class TestClusterEquivalence:
     def test_in_place_decisions_match_reference(self, toy_traces, toy_lut, name,
                                                 num_npus, block_size,
                                                 switch_cost):
-        # The differential run: queues well past inc_min_queue, so in-place
+        # The differential run: queues well past numpy_min_queue, so in-place
         # decisions go through the selection cache, and everything the
         # pool charges, emits or exposes to telemetry must match the spec.
         accountant = EnergyAccountant.from_model_lut(toy_lut)
@@ -607,7 +676,7 @@ class TestClusterEquivalence:
 
         scalar, *expected = run(ReferencePool)
         batch, *got = run(Pool)
-        assert batch.max_queue_length >= Scheduler.inc_min_queue
+        assert batch.max_queue_length >= Scheduler.numpy_min_queue
         assert batch.num_in_place_blocks > 0
         assert got == expected
 
@@ -744,8 +813,10 @@ class TestMixedFamilyWorkloads:
 
 
 def cached(sched):
-    """Force the selection cache on at any queue depth."""
-    sched.inc_min_queue = 0
+    """Force the selection cache on at any queue depth; a policy without a
+    cache keeps its list-to-numpy crossover."""
+    if sched.supports_incremental and sched.incremental:
+        sched.numpy_min_queue = 0
     return sched
 
 
@@ -759,8 +830,8 @@ class TestIncrementalEquivalence:
     """Selection cache vs brute-force full re-scan, whole-run.
 
     The cache (see :mod:`repro.sim.select_cache`) must be decision-invisible:
-    identical completion schedules bit-for-bit, with ``inc_min_queue=0`` so
-    shallow phases go through the cache too instead of the depth-gate bypass.
+    identical completion schedules bit-for-bit, with ``numpy_min_queue=0``
+    so shallow phases go through the cache too instead of the list kernel.
     """
 
     @pytest.mark.parametrize("name", CONVERTED)

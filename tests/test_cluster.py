@@ -74,6 +74,17 @@ class TestValidation:
         with pytest.raises(SchedulingError):
             Pool("a", sched, 1, affinity={"short": 0.0})
 
+    # Each knob check is written so that NaN fails it, as infinity does.
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_non_finite_pool_knobs_rejected(self, toy_lut, bad):
+        sched = make_scheduler("fcfs", toy_lut)
+        with pytest.raises(SchedulingError, match="switch cost must be >= 0 and finite"):
+            Pool("a", sched, 1, switch_cost=bad)
+        with pytest.raises(SchedulingError, match="speed must be positive and finite"):
+            Pool("a", sched, 1, speed=bad)
+        with pytest.raises(SchedulingError, match="affinity factor .* finite"):
+            Pool("a", sched, 1, affinity={"short": bad})
+
     def test_public_pool_methods_resolve_type_hints(self):
         # Annotations are deferred strings: a name the module never imports
         # only fails when something (docs, IDEs, typing tools) resolves it.

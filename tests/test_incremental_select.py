@@ -3,7 +3,7 @@
 Two instances of the same policy are driven through one randomized
 arrival / run-a-block / remove / requeue op sequence on two separate ready
 queues.  One instance keeps the selection cache (``incremental=True`` with
-``inc_min_queue=0`` so the cache engages at any depth); the other disables
+``numpy_min_queue=0`` so the cache engages at any depth); the other disables
 it (``incremental=False``), which is the brute-force full re-scan batch
 path.  After every op the harness probes ``select_batch`` on both and
 asserts the selected rid matches — the cache must be decision-invisible at
@@ -33,6 +33,7 @@ from repro.core.lut import ModelInfoLUT
 from repro.schedulers.base import Scheduler, make_scheduler
 from repro.sim.engine import simulate
 from repro.sim.ready_queue import ReadyQueue
+from repro.sim.select_cache import JOURNAL_CAP
 from repro.sim.workload import WorkloadSpec, generate_workload
 
 from conftest import build_trace, make_request
@@ -70,7 +71,8 @@ class Lane:
         kwargs = {"switch_cost": 0.002} if name == "dysta_switchaware" else {}
         self.sched = make_scheduler(name, lut, **kwargs)
         self.sched.incremental = incremental
-        self.sched.inc_min_queue = 0  # engage the cache at any depth
+        if incremental and self.sched.supports_incremental:
+            self.sched.numpy_min_queue = 0  # engage the cache at any depth
         self.sched.reset()
         self.queue = ReadyQueue(lut, columns=self.sched.batch_columns)
         self.sched.bind_queue(self.queue)
@@ -354,7 +356,7 @@ class TestChangedRows:
         # dysta's decisions with dysta's scans.
         def run(name):
             sched = make_scheduler(name, toy_lut)
-            sched.inc_min_queue = 0
+            sched.numpy_min_queue = 0
             spec = WorkloadSpec(150.0, n_requests=120, slo_multiplier=5.0)
             result = simulate(generate_workload(toy_traces, spec), sched)
             return [(r.rid, r.finish_time) for r in result.requests], sched._cache
@@ -387,7 +389,7 @@ _OP = st.one_of(
     _FINISH,
     st.just(("probe",)),
     st.tuples(st.just("switch"), st.integers(0, 63)),
-    # inc_journal_cap + 1 arrivals at once (one, on a queue that deep).
+    # JOURNAL_CAP + 1 arrivals at once (one, on a queue that deep).
     st.tuples(st.just("burst"), _ADMIT),
 )
 #: Requests running at once (parked rows), as on a three-NPU pool.
@@ -409,7 +411,7 @@ class TestRandomOps:
 
     The ops:
 
-    * ``arrive`` one request, or a ``burst`` past ``inc_journal_cap``;
+    * ``arrive`` one request, or a ``burst`` past ``JOURNAL_CAP``;
     * ``wait``: the clock moves on;
     * ``dispatch``: an idle accelerator (of ``_NPUS``) decides and parks
       its pick;
@@ -433,7 +435,7 @@ class TestRandomOps:
     def test_lookup_matches_brute_force(self, toy_lut, name, ops, probe_all):
         lanes = [Lane(name, toy_lut, incremental=True),
                  Lane(name, toy_lut, incremental=False)]
-        cap = lanes[0].sched.inc_journal_cap
+        cap = JOURNAL_CAP
         running = ([], [])
 
         def decide(now):
@@ -498,7 +500,7 @@ class TestOptOuts:
 
     def test_depth_gate_bypasses_cache_on_shallow_queues(
             self, toy_traces, toy_lut):
-        # With the default inc_min_queue, a shallow queue never consults
+        # With the default numpy_min_queue, a shallow queue never consults
         # the cache: the tight scalar loop is cheaper there.
         sched = make_scheduler("dysta", toy_lut)
         sched.reset()
@@ -508,7 +510,7 @@ class TestOptOuts:
         for req in generate_workload(toy_traces, spec):
             queue.add(req)
             sched.on_arrival(req, req.arrival)
-        assert len(queue) < sched.inc_min_queue
+        assert len(queue) < sched.numpy_min_queue
         sched.select_batch(queue, 1.0)
         cache = sched._cache
         assert cache is not None and cache.num_hits == 0 and cache.num_scans == 0

@@ -166,7 +166,7 @@ class _RowModel:
     """Reference semantics of the requeue cycle: a list of rows with
     swap-remove and append, plus a saved row per dispatched rid.
 
-    A row is ``{"req", "missing", <column>: value, ..., "aux": {...}}``.
+    A row is ``{"req", <column>: value, ..., "aux": {...}}``.
     Re-admitting a saved row keeps its constant columns and aux values and
     recomputes only the progress columns from the request.
     """
@@ -187,8 +187,7 @@ class _RowModel:
         row["last_run_end"] = req.last_run_end
         row["executed_time"] = req.executed_time
         row["true_remaining"] = req.true_remaining
-        if not row["missing"]:
-            row["est_remaining"] = req.lut_entry(self.lut).remaining_suffix_t[req.next_layer]
+        row["est_remaining"] = req.lut_entry(self.lut).remaining_suffix_t[req.next_layer]
 
     def add(self, req):
         row = self.saved.pop(req.rid, None)
@@ -197,18 +196,16 @@ class _RowModel:
             self._progress(row)
         else:
             entry = req.lut_entry(self.lut)
-            missing = entry is None
             row = {
-                "req": req, "missing": missing, "rid": req.rid,
+                "req": req, "rid": req.rid,
                 "arrival": req.arrival, "deadline": req.deadline,
                 "priority": req.priority,
                 "true_isolated": req.isolated_latency,
                 "true_remaining": req.true_remaining,
                 "last_run_end": req.last_run_end,
                 "executed_time": req.executed_time,
-                "est_isolated": np.nan if missing else entry.avg_total_latency,
-                "est_remaining": (np.nan if missing
-                                  else entry.remaining_suffix_t[req.next_layer]),
+                "est_isolated": entry.avg_total_latency,
+                "est_remaining": entry.remaining_suffix_t[req.next_layer],
                 "aux": dict(self.aux),
             }
         self.rows.append(row)
@@ -260,7 +257,6 @@ class TestParkedRows:
             i = model.index(req)
             assert (req in q) == (i >= 0)
             assert q.index_of(req) == i
-        assert q.missing_entries == sum(row["missing"] for row in model.rows)
         pairs = self._slots(q, model)
         slots = [j for j, _ in pairs]
         for col in self._COLS:
@@ -296,7 +292,6 @@ class TestParkedRows:
         everyone, running = [], []
         now = 0.0
         grew_while_parked = False
-        peak_missing = 0
         list_steps = vector_steps = stale_drains = 0
 
         def vector_write():
@@ -322,7 +317,7 @@ class TestParkedRows:
                 q.register_aux("late", 3.0)
                 model.register_aux("late", 3.0)
             if op == "arrive":
-                model_name = ("short", "long", "alexnet")[rng.choice(3, p=[0.45, 0.45, 0.1])]
+                model_name = ("short", "long")[rng.choice(2)]
                 req = make_request(rid=len(everyone), model=model_name, arrival=now,
                                    slo=float(rng.uniform(1.0, 4.0)),
                                    latencies=(0.001, 0.002, 0.003),
@@ -408,25 +403,41 @@ class TestParkedRows:
             self.check_lists(q, model, everyone)
             if rng.random() < 0.05:
                 self.check_numpy(q, model)
-            peak_missing = max(peak_missing, q.missing_entries)
         assert grew_while_parked and "late" in model.aux
-        assert peak_missing > 0
         assert list_steps > 50 and vector_steps > 50
         assert stale_drains > 0 and q.num_vectorized >= 2
         self.check_numpy(q, model)
 
 
 class TestMissingEntries:
-    def test_unknown_model_counts_as_missing(self, toy_lut):
+    @staticmethod
+    def state(q):
+        """Everything a refused admission must leave as it was."""
+        lists = {f"ls_{col}": list(getattr(q, f"ls_{col}"))
+                 for col in ("rid",) + KNOWN_COLUMNS}
+        aux = {name: list(col.ls) for name, col in q._aux.items()}
+        return (len(q), q._n, list(q._requests), dict(q._pos),
+                dict(q._parked), lists, list(q._ls_suffix),
+                set(q._journal), q._journal_all, aux)
+
+    @pytest.mark.parametrize("parked", (False, True))
+    def test_unknown_model_rejected_at_admission(self, toy_lut, parked):
         q = rq(toy_lut)
-        known = make_request(rid=0)
-        stranger = make_request(rid=1, model="alexnet")
-        q.add(known)
-        assert q.missing_entries == 0
-        q.add(stranger)
-        assert q.missing_entries == 1
-        q.remove(stranger)
-        assert q.missing_entries == 0
+        q.register_aux("tokens", 0.5)
+        q.enable_journal()
+        q.journal_clear()
+        known = [make_request(rid=i) for i in range(3)]
+        for r in known:
+            q.add(r)
+        if parked:
+            # A fresh row lands past a parked one before swapping in.
+            q.remove(known[1], requeue=True)
+        before = self.state(q)
+        stranger = make_request(rid=9, model="alexnet")
+        with pytest.raises(SchedulingError, match="no LUT entry for 'alexnet/dense'"):
+            q.add(stranger)
+        assert self.state(q) == before
+        assert stranger not in q
 
 
 class TestLexmin:

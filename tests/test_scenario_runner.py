@@ -144,6 +144,7 @@ class TestSweep:
         for knob, value in (("duration", nan), ("duration", inf),
                             ("base_rate", nan), ("base_rate", inf),
                             ("slo_multiplier", nan), ("switch_cost", nan),
+                            ("switch_cost", inf),
                             ("telemetry_interval", nan)):
             with pytest.raises(SchedulingError):
                 tiny_config(**{knob: value})

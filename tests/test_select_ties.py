@@ -12,16 +12,18 @@ would.  Four paths must agree for every incremental policy:
   kernel ``inc_best`` over every row;
 * the numpy kernel ``np_scores`` (``incremental=False``,
   ``numpy_min_queue=0``);
-* the selection cache (``inc_min_queue=0``): a full scan, then lookups.
+* the selection cache (``numpy_min_queue=0``): a full scan, then lookups.
   A winner tied with an untouched row never clears the cache's strict
   runner-up bound, so these lookups scan again (dysta_switchaware's
   switch cost separates the resident from its clones);
   :func:`test_changed_rows_decide_among_tied_rows` checks the list kernel
   deciding a cache hit among tied rows instead.
 
-Planaria has no cache, so its exact ties (equal slack, a request exactly on
-the feasibility boundary, a queue with no feasible request) are checked on
-the first three paths.
+Planaria and SDRM3 have no cache, so their ties are checked on the first
+three paths: SDRM3's clones, and both policies' exact ties on given
+deadlines (Planaria's equal slack, a request exactly on the feasibility
+boundary and a queue with no feasible request; SDRM3's urgency clamped at
+its cap).
 """
 
 import math
@@ -46,7 +48,12 @@ ALL_TIED = dict.fromkeys(MIXED_ARRIVALS, 0.0)
 
 #: Policies whose score reads the deadline (arrival + slo): their clones
 #: share one deadline, so mixed arrivals still tie on score.
-DEADLINE_SCORED = ("dysta", "dysta_nosparse", "dysta_switchaware", "oracle")
+DEADLINE_SCORED = ("dysta", "dysta_nosparse", "dysta_switchaware", "oracle",
+                   "sdrm3")
+
+#: Policies whose clone ties are checked: the incremental ones, and SDRM3
+#: on its kernels without a cache.
+CLONE_TIED = INCREMENTAL + ("sdrm3",)
 
 #: Policies that rank by arrival before rid.
 ARRIVAL_FIRST = ("sjf", "fcfs", "energy_edp")
@@ -89,7 +96,8 @@ def bound(name, lut, rids, arrivals, **attrs):
 
 
 def picks_on_every_path(name, lut, rids, arrivals):
-    """Selected rid per path: (spec, list kernel, numpy kernel, cache)."""
+    """Selected rid per path: (spec, list kernel, numpy kernel, cache); a
+    policy without a cache stops after the numpy kernel."""
     spec = scheduler_for(name, lut)
     requests = clones(name, rids, arrivals)
     for request in requests:
@@ -97,16 +105,19 @@ def picks_on_every_path(name, lut, rids, arrivals):
     picks = [spec.select(requests, NOW).rid]
 
     sched, queue = bound(name, lut, rids, arrivals)
-    assert len(queue) < min(sched.inc_min_queue, sched.numpy_min_queue)
+    assert len(queue) < sched.numpy_min_queue
     picks.append(sched.select_batch(queue, NOW).rid)
-    assert sched._cache.num_scans == sched._cache.num_hits == 0
+    cache = sched._cache
+    assert cache is None or cache.num_scans == cache.num_hits == 0
 
     sched, queue = bound(name, lut, rids, arrivals,
                          incremental=False, numpy_min_queue=0)
     assert sched._cache is None
     picks.append(sched.select_batch(queue, NOW).rid)
+    if not sched.supports_incremental:
+        return picks
 
-    sched, queue = bound(name, lut, rids, arrivals, inc_min_queue=0)
+    sched, queue = bound(name, lut, rids, arrivals, numpy_min_queue=0)
     cache = sched._cache
     cached = [sched.select_batch(queue, NOW).rid]
     cached += [cache.lookup(NOW).rid for _ in range(2)]
@@ -123,17 +134,18 @@ def test_covers_every_incremental_policy(toy_lut):
 
 
 @pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("name", INCREMENTAL)
+@pytest.mark.parametrize("name", CLONE_TIED)
 def test_all_rows_tied(toy_lut, name, order):
     picks = picks_on_every_path(name, toy_lut, ORDERS[order], ALL_TIED)
-    assert picks == [101] * 4
+    assert picks == [101] * (4 if name in INCREMENTAL else 3)
 
 
 @pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("name", INCREMENTAL)
+@pytest.mark.parametrize("name", CLONE_TIED)
 def test_score_tied_with_mixed_arrivals(toy_lut, name, order):
     picks = picks_on_every_path(name, toy_lut, ORDERS[order], MIXED_ARRIVALS)
-    assert picks == [102 if name in ARRIVAL_FIRST else 101] * 4
+    expected = 102 if name in ARRIVAL_FIRST else 101
+    assert picks == [expected] * (4 if name in INCREMENTAL else 3)
 
 
 @pytest.mark.parametrize("arrivals", (ALL_TIED, MIXED_ARRIVALS),
@@ -144,7 +156,7 @@ def test_changed_rows_decide_among_tied_rows(toy_lut, name, order, arrivals):
     # The clones arrive after a full scan over long requests that arrived
     # later, so they are changed rows strictly below every untouched row:
     # the cache answers from them, and the list kernel breaks their tie.
-    sched = scheduler_for(name, toy_lut, inc_min_queue=0)
+    sched = scheduler_for(name, toy_lut, numpy_min_queue=0)
     queue = ReadyQueue(toy_lut, columns=sched.batch_columns)
     sched.bind_queue(queue)
     slo = 0.4 if name in DEADLINE_SCORED else 1.0  # deadline 1.0 as the clones'
@@ -172,10 +184,10 @@ def test_changed_rows_decide_among_tied_rows(toy_lut, name, order, arrivals):
     assert chosen.rid == spec.select(live, NOW).rid == expected
 
 
-# -- Planaria: lexicographic minimum of (infeasible, slack, rid) -------------
+# -- Uncached policies on given deadlines -------------------------------------
 
 
-def planaria_requests(deadlines):
+def requests_due(deadlines):
     """One ``short`` request per ``rid: deadline`` (all arrive at 0.0)."""
     requests = []
     for rid, deadline in deadlines.items():
@@ -185,20 +197,25 @@ def planaria_requests(deadlines):
     return requests
 
 
-def planaria_picks(toy_lut, deadlines, order):
+def due_picks(name, toy_lut, deadlines, order):
     """Selected rid per path: (spec, list kernel, numpy kernel)."""
-    picks = [make_scheduler("planaria", toy_lut).select(
-        planaria_requests(deadlines), NOW).rid]
+    picks = [make_scheduler(name, toy_lut).select(
+        requests_due(deadlines), NOW).rid]
     for attrs in ({}, {"numpy_min_queue": 0}):
-        sched = scheduler_for("planaria", toy_lut, **attrs)
+        sched = scheduler_for(name, toy_lut, **attrs)
         queue = ReadyQueue(toy_lut, columns=sched.batch_columns)
         sched.bind_queue(queue)
         assert sched._cache is None
-        by_rid = {r.rid: r for r in planaria_requests(deadlines)}
+        by_rid = {r.rid: r for r in requests_due(deadlines)}
         for rid in order:
             queue.add(by_rid[rid])
         picks.append(sched.select_batch(queue, NOW).rid)
     return picks
+
+
+def planaria_picks(toy_lut, deadlines, order):
+    """Planaria: the lexicographic minimum of (infeasible, slack, rid)."""
+    return due_picks("planaria", toy_lut, deadlines, order)
 
 
 def short_remaining(toy_lut):
@@ -239,3 +256,18 @@ def test_planaria_every_request_infeasible(toy_lut, order):
                  102: 0.25, 101: 0.375}
     assert all(not NOW + rem <= d for d in deadlines.values())
     assert planaria_picks(toy_lut, deadlines, ORDERS[order]) == [104] * 3
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_sdrm3_clamped_urgency_breaks_on_rid(toy_lut, order):
+    # Urgency is capped at 10 past the deadline and when remaining work
+    # exceeds ten windows, so these four rows tie on MapScore (every row
+    # has the same fairness) and the smallest rid among them, 102, wins;
+    # 103 and 101 have time left and score lower.
+    rem = short_remaining(toy_lut)
+    deadlines = {106: 0.5, 105: NOW, 104: NOW + rem / 20, 103: NOW + rem,
+                 102: 0.125, 101: NOW + 1.0}
+    sdrm3 = make_scheduler("sdrm3", toy_lut)
+    urgency = {r.rid: sdrm3._urgency(r, NOW) for r in requests_due(deadlines)}
+    assert [rid for rid, u in urgency.items() if u == 10.0] == [106, 105, 104, 102]
+    assert due_picks("sdrm3", toy_lut, deadlines, ORDERS[order]) == [102] * 3

@@ -1,10 +1,13 @@
 """Unit tests for the layer-granularity scheduling engine."""
 
+import math
+
 import pytest
 
 from repro.errors import SchedulingError
 from repro.schedulers.base import Scheduler, make_scheduler
 from repro.sim.engine import simulate
+from repro.sim.multi import simulate_multi
 
 from conftest import make_request
 
@@ -40,6 +43,15 @@ class TestEngineBasics:
     def test_empty_workload_rejected(self, toy_lut):
         with pytest.raises(SchedulingError):
             simulate([], FirstInQueue(toy_lut))
+
+    # NaN passes a "< 0" check and was priced as no cost at all; infinity
+    # ran to an infinite ANTT.
+    @pytest.mark.parametrize("cost", (math.nan, math.inf))
+    @pytest.mark.parametrize("engine", (simulate, simulate_multi))
+    def test_non_finite_switch_cost_rejected(self, toy_lut, engine, cost):
+        with pytest.raises(SchedulingError, match="switch cost must be >= 0 and finite"):
+            engine([short(0, 0.0)], make_scheduler("fcfs", toy_lut),
+                   switch_cost=cost)
 
     def test_reused_request_rejected(self, toy_lut):
         req = short(0, 0.0)

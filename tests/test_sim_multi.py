@@ -200,69 +200,69 @@ class TestMultiAccelerator:
 
 #: Recorded multi-NPU schedules on the toy world, keyed by policy and then
 #: (accelerators, switch cost, block size): a digest of the completion
-#: sequence plus invocations, preemptions and batch selects.  Unlike the
+#: sequence plus invocations and preemptions.  Unlike the
 #: engine-vs-reference and traced-vs-untraced comparisons, fixed values
 #: catch a change that moves both sides of such a pair the same way.
 PINNED_SCHEDULES = {
     "dysta": {
-        (2, 0.0, 1): ("850db5cc13e92691", 293, 22, 293),
-        (2, 0.0, 2): ("0b98513b79fccd14", 173, 16, 173),
-        (2, 0.002, 1): ("9afa39234fea8ab2", 293, 34, 293),
-        (2, 0.002, 2): ("3df002c1866f871e", 173, 19, 173),
-        (3, 0.0, 1): ("9b434b8f42339323", 293, 16, 293),
-        (3, 0.0, 2): ("3bd7d4880bbc3e0e", 173, 11, 173),
-        (3, 0.002, 1): ("e40df1f5be775118", 293, 27, 293),
-        (3, 0.002, 2): ("c5f7660d37f54536", 173, 14, 173),
+        (2, 0.0, 1): ("850db5cc13e92691", 293, 22),
+        (2, 0.0, 2): ("0b98513b79fccd14", 173, 16),
+        (2, 0.002, 1): ("9afa39234fea8ab2", 293, 34),
+        (2, 0.002, 2): ("3df002c1866f871e", 173, 19),
+        (3, 0.0, 1): ("9b434b8f42339323", 293, 16),
+        (3, 0.0, 2): ("3bd7d4880bbc3e0e", 173, 11),
+        (3, 0.002, 1): ("e40df1f5be775118", 293, 27),
+        (3, 0.002, 2): ("c5f7660d37f54536", 173, 14),
     },
     "sjf": {
-        (2, 0.0, 1): ("c37bf61cde10b3c3", 293, 29, 293),
-        (2, 0.0, 2): ("8457779bc056297f", 173, 20, 173),
-        (2, 0.002, 1): ("782befbbe7e874e4", 293, 36, 293),
-        (2, 0.002, 2): ("8d4b0c0c6f81b6ee", 173, 28, 173),
-        (3, 0.0, 1): ("625538cac9cfda84", 293, 19, 293),
-        (3, 0.0, 2): ("0a55f7b146963fb5", 173, 14, 173),
-        (3, 0.002, 1): ("c17a32787c105eb7", 293, 36, 293),
-        (3, 0.002, 2): ("f47b361a3cd59770", 173, 19, 173),
+        (2, 0.0, 1): ("c37bf61cde10b3c3", 293, 29),
+        (2, 0.0, 2): ("8457779bc056297f", 173, 20),
+        (2, 0.002, 1): ("782befbbe7e874e4", 293, 36),
+        (2, 0.002, 2): ("8d4b0c0c6f81b6ee", 173, 28),
+        (3, 0.0, 1): ("625538cac9cfda84", 293, 19),
+        (3, 0.0, 2): ("0a55f7b146963fb5", 173, 14),
+        (3, 0.002, 1): ("c17a32787c105eb7", 293, 36),
+        (3, 0.002, 2): ("f47b361a3cd59770", 173, 19),
     },
     "fcfs": {
-        (2, 0.0, 1): ("50489792c921885c", 293, 1, 293),
-        (2, 0.0, 2): ("5804f06c21c50f3e", 173, 0, 173),
-        (2, 0.002, 1): ("35af173b6b5c505d", 293, 1, 293),
-        (2, 0.002, 2): ("7e467071e0dc2cfb", 173, 0, 173),
-        (3, 0.0, 1): ("a2e4f0ef7b399a56", 293, 14, 293),
-        (3, 0.0, 2): ("732ca1a401a7a032", 173, 7, 173),
-        (3, 0.002, 1): ("a883d52eb6b6523c", 293, 9, 293),
-        (3, 0.002, 2): ("c3f8026e0449a72a", 173, 6, 173),
+        (2, 0.0, 1): ("50489792c921885c", 293, 1),
+        (2, 0.0, 2): ("5804f06c21c50f3e", 173, 0),
+        (2, 0.002, 1): ("35af173b6b5c505d", 293, 1),
+        (2, 0.002, 2): ("7e467071e0dc2cfb", 173, 0),
+        (3, 0.0, 1): ("a2e4f0ef7b399a56", 293, 14),
+        (3, 0.0, 2): ("732ca1a401a7a032", 173, 7),
+        (3, 0.002, 1): ("a883d52eb6b6523c", 293, 9),
+        (3, 0.002, 2): ("c3f8026e0449a72a", 173, 6),
     },
     "prema": {
-        (2, 0.0, 1): ("9a36b0b77c2b88ae", 293, 27, 293),
-        (2, 0.0, 2): ("e12c1f652f38ee04", 173, 20, 173),
-        (2, 0.002, 1): ("5f8fa9b2e87bdfb4", 293, 31, 293),
-        (2, 0.002, 2): ("a0bb49ab69c74261", 173, 19, 173),
-        (3, 0.0, 1): ("625538cac9cfda84", 293, 19, 293),
-        (3, 0.0, 2): ("0a55f7b146963fb5", 173, 14, 173),
-        (3, 0.002, 1): ("c17a32787c105eb7", 293, 36, 293),
-        (3, 0.002, 2): ("f47b361a3cd59770", 173, 19, 173),
+        (2, 0.0, 1): ("9a36b0b77c2b88ae", 293, 27),
+        (2, 0.0, 2): ("e12c1f652f38ee04", 173, 20),
+        (2, 0.002, 1): ("5f8fa9b2e87bdfb4", 293, 31),
+        (2, 0.002, 2): ("a0bb49ab69c74261", 173, 19),
+        (3, 0.0, 1): ("625538cac9cfda84", 293, 19),
+        (3, 0.0, 2): ("0a55f7b146963fb5", 173, 14),
+        (3, 0.002, 1): ("c17a32787c105eb7", 293, 36),
+        (3, 0.002, 2): ("f47b361a3cd59770", 173, 19),
     },
     "planaria": {
-        (2, 0.0, 1): ("59fdec334b864068", 293, 70, 293),
-        (2, 0.0, 2): ("f2c532548e38f8fa", 173, 32, 173),
-        (2, 0.002, 1): ("1a51df4b4bae7ca6", 293, 74, 293),
-        (2, 0.002, 2): ("36ed00986b01ace7", 173, 41, 173),
-        (3, 0.0, 1): ("a22c7c4c5da0c1f1", 293, 38, 293),
-        (3, 0.0, 2): ("49c72d4102ecb1aa", 173, 24, 173),
-        (3, 0.002, 1): ("a94e9c1526bc2a09", 293, 46, 293),
-        (3, 0.002, 2): ("266a88a410182419", 173, 27, 173),
+        (2, 0.0, 1): ("59fdec334b864068", 293, 70),
+        (2, 0.0, 2): ("f2c532548e38f8fa", 173, 32),
+        (2, 0.002, 1): ("1a51df4b4bae7ca6", 293, 74),
+        (2, 0.002, 2): ("36ed00986b01ace7", 173, 41),
+        (3, 0.0, 1): ("a22c7c4c5da0c1f1", 293, 38),
+        (3, 0.0, 2): ("49c72d4102ecb1aa", 173, 24),
+        (3, 0.002, 1): ("a94e9c1526bc2a09", 293, 46),
+        (3, 0.002, 2): ("266a88a410182419", 173, 27),
     },
     "energy_edp": {
-        (2, 0.0, 1): ("c37bf61cde10b3c3", 293, 29, 293),
-        (2, 0.0, 2): ("8457779bc056297f", 173, 20, 173),
-        (2, 0.002, 1): ("782befbbe7e874e4", 293, 36, 293),
-        (2, 0.002, 2): ("8d4b0c0c6f81b6ee", 173, 28, 173),
-        (3, 0.0, 1): ("625538cac9cfda84", 293, 19, 293),
-        (3, 0.0, 2): ("0a55f7b146963fb5", 173, 14, 173),
-        (3, 0.002, 1): ("c17a32787c105eb7", 293, 36, 293),
-        (3, 0.002, 2): ("f47b361a3cd59770", 173, 19, 173),
+        (2, 0.0, 1): ("c37bf61cde10b3c3", 293, 29),
+        (2, 0.0, 2): ("8457779bc056297f", 173, 20),
+        (2, 0.002, 1): ("782befbbe7e874e4", 293, 36),
+        (2, 0.002, 2): ("8d4b0c0c6f81b6ee", 173, 28),
+        (3, 0.0, 1): ("625538cac9cfda84", 293, 19),
+        (3, 0.0, 2): ("0a55f7b146963fb5", 173, 14),
+        (3, 0.002, 1): ("c17a32787c105eb7", 293, 36),
+        (3, 0.002, 2): ("f47b361a3cd59770", 173, 19),
     },
 }
 
@@ -287,6 +287,6 @@ class TestPinnedSchedules:
                                     block_size=block)
             got[(n, cost, block)] = (
                 schedule_digest(result), result.num_scheduler_invocations,
-                result.num_preemptions, result.num_batch_selects,
+                result.num_preemptions,
             )
         assert got == PINNED_SCHEDULES[name]

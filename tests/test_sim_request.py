@@ -38,6 +38,13 @@ class TestValidation:
         with pytest.raises(SchedulingError, match="SLO must be positive"):
             make_request(slo=math.nan)
 
+    # A NaN arrival never compares as due, so an engine would wait for it
+    # forever.
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_arrival_rejected(self, bad):
+        with pytest.raises(SchedulingError, match="arrival must be finite"):
+            make_request(arrival=bad)
+
     def test_nan_priority_rejected(self):
         with pytest.raises(SchedulingError, match="priority must be positive"):
             Request(rid=0, model_name="m", pattern_key="p", arrival=0.0,

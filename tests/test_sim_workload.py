@@ -1,5 +1,7 @@
 """Unit tests for workload generation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,18 @@ class TestSpec:
             WorkloadSpec(arrival_rate=1.0, n_requests=0)
         with pytest.raises(SchedulingError):
             WorkloadSpec(arrival_rate=1.0, slo_multiplier=0.0)
+
+    # NaN passes "<= 0" checks; a NaN rate or start time gives NaN
+    # arrivals, which no engine ever admits.
+    @pytest.mark.parametrize("kwargs", (
+        {"arrival_rate": math.nan},
+        {"arrival_rate": 1.0, "start_time": math.nan},
+        {"arrival_rate": 1.0, "start_time": math.inf},
+        {"arrival_rate": 1.0, "slo_multiplier": math.nan},
+    ), ids=("nan_rate", "nan_start", "inf_start", "nan_slo"))
+    def test_nan_and_infinite_knobs_rejected(self, kwargs):
+        with pytest.raises(SchedulingError):
+            WorkloadSpec(**kwargs)
 
 
 class TestGeneration:
@@ -137,6 +151,16 @@ class TestSLOClasses:
             WorkloadSpec(arrival_rate=1.0, slo_classes=((0.0, 1.0),))
         with pytest.raises(SchedulingError):
             WorkloadSpec(arrival_rate=1.0, slo_classes=((5.0, 0.0),))
+
+    @pytest.mark.parametrize("knob", ("slo_classes", "priority_classes"))
+    @pytest.mark.parametrize("classes", (
+        ((math.nan, 1.0),),
+        ((5.0, math.nan), (3.0, 1.0)),
+        ((5.0, math.inf), (3.0, 1.0)),
+    ), ids=("nan_value", "nan_weight", "inf_weight"))
+    def test_nan_and_infinite_classes_rejected(self, knob, classes):
+        with pytest.raises(SchedulingError, match="invalid"):
+            WorkloadSpec(arrival_rate=1.0, **{knob: classes})
 
     def test_classes_drawn_with_given_weights(self, toy_traces):
         spec = WorkloadSpec(
